@@ -20,10 +20,6 @@ Usage::
     python benchmarks/bench_sim_throughput.py                   # measure + JSON
     python benchmarks/bench_sim_throughput.py --check           # CI perf smoke
     python benchmarks/bench_sim_throughput.py --update-baseline # re-pin baseline
-    REPRO_SIM_BACKEND=compiled python benchmarks/bench_sim_throughput.py
-
-The baseline is per-backend: a check run only gates workloads whose
-baseline entry was recorded under the same ``REPRO_SIM_BACKEND``.
 """
 
 from __future__ import annotations
@@ -90,21 +86,18 @@ def _run_cholesky_node():
     return rt.engine.events_processed, rt.result().tasks_completed
 
 
-def _run_evcore_synthetic():
+def _run_heap_synthetic():
     """Raw event-store push+pop with a ~64-event resident window.
 
-    This is the microbenchmark the compiled backend accelerates most —
-    it isolates the event core from scheduler callback cost.
+    Isolates the event core from scheduler callback cost.
     """
-    from repro.sim.backend import event_factory, heap_factory
-    from repro.sim.engine import EventKind
+    from repro.sim.engine import Event, EventHeap, EventKind
 
-    heap_cls, event_cls = heap_factory(), event_factory()
     n = 100_000
-    h = heap_cls()
+    h = EventHeap()
     kind = EventKind.GENERIC
     for i in range(n):
-        h.push(event_cls((i % 97) * 0.5 + i * 1e-9, i, kind, None))
+        h.push(Event((i % 97) * 0.5 + i * 1e-9, i, kind, None))
         if i >= 64:
             h.pop()
     while h.pop() is not None:
@@ -116,7 +109,7 @@ WORKLOADS = {
     "matmul16-sharded": _run_matmul16,
     "matmul8-node-versioning": _run_matmul_node,
     "cholesky8-node-versioning": _run_cholesky_node,
-    "evcore-synthetic": _run_evcore_synthetic,
+    "heap-synthetic": _run_heap_synthetic,
 }
 
 
@@ -158,9 +151,6 @@ def calibration_score() -> float:
 
 
 def measure(workloads=None, repeats: int = REPEATS) -> dict:
-    from repro.sim.backend import resolve
-
-    backend = resolve()
     rows = {}
     for name, fn in WORKLOADS.items():
         if workloads and name not in workloads:
@@ -175,7 +165,6 @@ def measure(workloads=None, repeats: int = REPEATS) -> dict:
                 best = dt
         assert best is not None and best > 0
         rows[name] = {
-            "backend": backend,
             "events": events,
             "tasks": tasks,
             "best_cpu_s": round(best, 6),
@@ -186,10 +175,7 @@ def measure(workloads=None, repeats: int = REPEATS) -> dict:
 
 
 def payload(rows: dict) -> dict:
-    from repro.sim.backend import resolve
-
     return {
-        "backend": resolve(),
         "python": ".".join(map(str, sys.version_info[:3])),
         "calibration_score": round(calibration_score(), 1),
         "workloads": rows,
@@ -204,12 +190,6 @@ def check(current: dict, baseline: dict, tolerance: float) -> list[str]:
     failures = []
     cur_calib = current["calibration_score"]
     base_calib = baseline["calibration_score"]
-    backend = current["backend"]
-    if baseline.get("backend", "pure") != backend:
-        return [
-            f"baseline was recorded for backend {baseline.get('backend')!r}; "
-            f"current backend is {backend!r} (record one with --update-baseline)"
-        ]
     for name, base_row in baseline["workloads"].items():
         cur_row = current["workloads"].get(name)
         if cur_row is None:
@@ -248,7 +228,7 @@ def main(argv=None) -> int:
 
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    print(f"[{out['backend']} backend, calibration {out['calibration_score']:,.0f}]")
+    print(f"[calibration {out['calibration_score']:,.0f}]")
     for name, row in rows.items():
         line = f"  {name:28s} {row['events_per_sec']:>12,.0f} ev/s"
         if row["tasks_per_sec"]:

@@ -471,15 +471,11 @@ class ShardedClusterScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Work stealing
     # ------------------------------------------------------------------
-    def _pool_depth(self, node: int) -> int:
-        fn = self._pool_fns[node] if node < len(self._pool_fns) else None
-        return fn() if fn is not None else 0
-
     def _refresh_pool_fns(self) -> None:
         """Re-resolve each inner scheduler's ``pool_size`` method.
 
-        Bound methods are cached because the steal scan calls
-        ``_pool_depth`` for every node on every task lifecycle hook;
+        Bound methods are cached because the steal scan reads every
+        node's pool depth on every task lifecycle hook;
         per-call ``getattr`` on the inner scheduler was a top frame.
         When the inner scheduler's ``pool_size`` is the stock
         ``len(self._pool)`` implementation, the pool deque's own

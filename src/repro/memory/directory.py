@@ -102,12 +102,6 @@ class Directory:
             )
         return entry
 
-    def known(self, region: DataRegion) -> bool:
-        return region.rid in self._entries
-
-    def regions(self) -> list[DataRegion]:
-        return [e.region for e in self._entries.values()]
-
     def valid_spaces(self, region: DataRegion) -> set[str]:
         return set(self._entry(region).valid)
 
@@ -266,9 +260,6 @@ class Directory:
         entry.valid.add(space)
         entry.dirty_owner = space if space != self.home_space else None
         entry.recovering = False
-
-    def is_recovering(self, region: DataRegion) -> bool:
-        return self._entry(region).recovering
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:

@@ -166,14 +166,6 @@ class TransferEngine:
         bw_f, lat_f = self.resilience.link_factors(link.src, link.dst, start)
         return link.latency * lat_f + (nbytes / link.bandwidth) * bw_f
 
-    def link_free_at(self, src: str, dst: str) -> float:
-        """Earliest time any channel of the link is free."""
-        key: object = (src, dst)
-        if self.machine.has_link(src, dst):
-            key = self._channel_key(self.machine.link(src, dst))
-        channels = self._channel_free_at.get(key)
-        return min(channels) if channels else 0.0
-
     def issue(
         self,
         request: TransferRequest,

@@ -257,9 +257,6 @@ class DependenceGraph:
             out[e.kind] += 1
         return out
 
-    def successors_of(self, t: TaskInstance) -> list[TaskInstance]:
-        return list(t.successors)
-
     def pending_writer(self, region: DataRegion) -> Optional[TaskInstance]:
         """The unfinished task that will produce ``region``, if any.
 

@@ -467,9 +467,6 @@ class OmpSsRuntime:
     # ------------------------------------------------------------------
     # Scheduler-facing interface
     # ------------------------------------------------------------------
-    def worker(self, name: str) -> Worker:
-        return self._workers_by_name[name]
-
     def dispatch(self, t: TaskInstance, worker: Worker, version: TaskVersion) -> None:
         """Place a ready task, with its chosen version, in a worker queue."""
         if t.state is not TaskState.READY:

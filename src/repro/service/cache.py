@@ -210,10 +210,6 @@ class ResultCache:
             self.stats.invalidated += len(stale)
             return len(stale)
 
-    def keys(self) -> list[CacheKey]:
-        with self._lock:
-            return list(self._entries)
-
     # ------------------------------------------------------------------
     # Persistence: atomic snapshots + an append-only journal between them
     # ------------------------------------------------------------------

@@ -26,9 +26,11 @@ worst re-runs a simulation and at best hits the result cache.  The
 policy retries only :data:`RETRYABLE_CODES` — failures where the work
 may not have happened or the answer was lost — with decorrelated-jitter
 exponential backoff, a bounded attempt budget, and an optional overall
-wall-clock deadline.  Transport-level failures tear the connection down
-and reconnect before the next attempt, which is what lets a client ride
-out a server restart.
+wall-clock deadline.  Both clients step through one retry loop
+(:class:`_RetryLoop`).  A transport-level failure always tears the
+connection down, with or without a policy, so the next attempt (or the
+next request) reconnects instead of reusing a dead stream; that is what
+lets a client ride out a server restart.
 """
 
 from __future__ import annotations
@@ -127,6 +129,53 @@ class _Backoff:
         )
         self._prev = sleep
         return sleep
+
+
+class _RetryLoop:
+    """One exchange's retry decisions, free of I/O.
+
+    Both TCP clients run an attempt, pass its outcome (the response, or
+    the :class:`ServiceError` the transport raised) to :meth:`after`,
+    and follow the answer: ``None`` means the outcome is final (return
+    the response or raise the error, see :func:`_settle`); a float is
+    the seconds to sleep before the next attempt.  Without a policy
+    every outcome is final.
+    """
+
+    def __init__(self, policy: Optional[RetryPolicy]) -> None:
+        self._policy = policy
+        self._attempts = 0
+        if policy is not None:
+            self._backoff = policy.backoff()
+            self._deadline = (
+                time.perf_counter() + policy.deadline_s
+                if policy.deadline_s is not None
+                else None
+            )
+
+    def after(self, outcome: Union[dict, ServiceError]) -> Optional[float]:
+        self._attempts += 1
+        policy = self._policy
+        if policy is None:
+            return None
+        code = (
+            outcome.code
+            if isinstance(outcome, ServiceError)
+            else _response_error_code(outcome)
+        )
+        if not policy.retryable_code(code) or self._attempts >= policy.max_attempts:
+            return None
+        sleep = self._backoff.next()
+        if self._deadline is not None and time.perf_counter() + sleep > self._deadline:
+            return None
+        return sleep
+
+
+def _settle(outcome: Union[dict, ServiceError]) -> dict:
+    """Return a final response, or raise a final error."""
+    if isinstance(outcome, ServiceError):
+        raise outcome
+    return outcome
 
 
 @dataclass
@@ -292,8 +341,8 @@ class ServiceClient(_ClientOps):
             self._sock.sendall(json.dumps(dict(request)).encode() + b"\n")
             line = self._rfile.readline()
         except socket.timeout as exc:
-            # the stream is mid-exchange and unusable; callers (or the
-            # retry loop) must reconnect
+            # the stream is mid-exchange and unusable; request() tears
+            # it down so the next attempt reconnects
             raise ServiceError(
                 "timeout", f"no response within {self._timeout}s"
             ) from exc
@@ -312,42 +361,17 @@ class ServiceClient(_ClientOps):
 
     # -- request with retry ---------------------------------------------
     def request(self, request: Mapping[str, Any]) -> dict:
-        policy = self._retry
-        if policy is None:
-            return self._request_once(request)
-        backoff = policy.backoff()
-        deadline = (
-            time.perf_counter() + policy.deadline_s
-            if policy.deadline_s is not None
-            else None
-        )
-        attempt = 0
+        loop = _RetryLoop(self._retry)
         while True:
-            attempt += 1
-            transport_failure = False
             try:
-                response = self._request_once(request)
+                outcome: Union[dict, ServiceError] = self._request_once(request)
             except ServiceError as exc:
-                if not policy.retryable_code(exc.code):
-                    raise
-                transport_failure = True
-                failure: Union[ServiceError, dict] = exc
-            else:
-                code = _response_error_code(response)
-                if not policy.retryable_code(code):
-                    return response
-                failure = response
-            if transport_failure:
+                # the stream may be mid-exchange: never reuse it
                 self._teardown()
-            if attempt >= policy.max_attempts:
-                if isinstance(failure, ServiceError):
-                    raise failure
-                return failure
-            sleep = backoff.next()
-            if deadline is not None and time.perf_counter() + sleep > deadline:
-                if isinstance(failure, ServiceError):
-                    raise failure
-                return failure
+                outcome = exc
+            sleep = loop.after(outcome)
+            if sleep is None:
+                return _settle(outcome)
             self.retries += 1
             time.sleep(sleep)
 
@@ -442,44 +466,18 @@ class AsyncServiceClient:
     async def request(self, request: Mapping[str, Any]) -> dict:
         import asyncio
 
-        policy = self._retry
-        if policy is None:
-            return await self._request_once(request)
-        backoff = policy.backoff()
-        deadline = (
-            time.perf_counter() + policy.deadline_s
-            if policy.deadline_s is not None
-            else None
-        )
-        attempt = 0
+        loop = _RetryLoop(self._retry)
         while True:
-            attempt += 1
-            transport_failure = False
             try:
-                if self._reader is None:
+                if self._retry is not None and self._reader is None:
                     await self.connect()
-                response = await self._request_once(request)
+                outcome: Union[dict, ServiceError] = await self._request_once(request)
             except ServiceError as exc:
-                if not policy.retryable_code(exc.code):
-                    raise
-                transport_failure = True
-                failure: Union[ServiceError, dict] = exc
-            else:
-                code = _response_error_code(response)
-                if not policy.retryable_code(code):
-                    return response
-                failure = response
-            if transport_failure:
                 await self._teardown()
-            if attempt >= policy.max_attempts:
-                if isinstance(failure, ServiceError):
-                    raise failure
-                return failure
-            sleep = backoff.next()
-            if deadline is not None and time.perf_counter() + sleep > deadline:
-                if isinstance(failure, ServiceError):
-                    raise failure
-                return failure
+                outcome = exc
+            sleep = loop.after(outcome)
+            if sleep is None:
+                return _settle(outcome)
             self.retries += 1
             await asyncio.sleep(sleep)
 

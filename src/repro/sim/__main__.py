@@ -1,17 +1,5 @@
 """Simulator tooling entry point: ``python -m repro.sim``.
 
-Subcommands (flag style, composable with ``REPRO_SIM_BACKEND``):
-
-``--build``
-    Build the compiled event core with the system C compiler and print
-    the artifact path.  CI's ``compiled-backend`` job runs this before
-    the golden suite so build failures surface as their own step.
-
-``--backend``
-    Print the resolved backend name for the current environment
-    (``pure`` or ``compiled``), building the extension if the request
-    requires it.
-
 ``--profile [--workload NAME] [--top N]``
     cProfile one of the throughput-bench workloads (default the 16-node
     sharded matmul acceptance workload) and print the hottest frames by
@@ -50,25 +38,6 @@ def _bench_workloads():
     )
 
 
-def _cmd_build(verbose: bool) -> int:
-    from repro.sim.evcore_build import EvcoreBuildError, build_evcore
-
-    try:
-        path = build_evcore(verbose=verbose)
-    except EvcoreBuildError as exc:
-        print(f"build failed: {exc}", file=sys.stderr)
-        return 1
-    print(path)
-    return 0
-
-
-def _cmd_backend() -> int:
-    from repro.sim.backend import resolve
-
-    print(resolve())
-    return 0
-
-
 def _cmd_profile(workload: str, top: int) -> int:
     import cProfile
     import pstats
@@ -79,9 +48,7 @@ def _cmd_profile(workload: str, top: int) -> int:
         print(f"unknown workload {workload!r}; one of {sorted(workloads)}",
               file=sys.stderr)
         return 2
-    from repro.sim.backend import resolve
-
-    print(f"[profiling {workload} on the {resolve()} backend]", file=sys.stderr)
+    print(f"[profiling {workload}]", file=sys.stderr)
     prof = cProfile.Profile()
     prof.enable()
     events, tasks = fn()
@@ -96,24 +63,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.sim", description=__doc__.splitlines()[0]
     )
-    ap.add_argument("--build", action="store_true",
-                    help="build the compiled event core and print its path")
-    ap.add_argument("--backend", action="store_true",
-                    help="print the resolved event-core backend")
     ap.add_argument("--profile", action="store_true",
                     help="cProfile a throughput workload")
     ap.add_argument("--workload", default="matmul16-sharded",
                     help="workload for --profile (see bench_sim_throughput)")
     ap.add_argument("--top", type=int, default=25,
                     help="frames to print for --profile (default 25)")
-    ap.add_argument("--verbose", action="store_true",
-                    help="echo the compiler command during --build")
     args = ap.parse_args(argv)
 
-    if args.build:
-        return _cmd_build(args.verbose)
-    if args.backend:
-        return _cmd_backend()
     if args.profile:
         return _cmd_profile(args.workload, args.top)
     ap.print_help()

@@ -22,13 +22,9 @@ drain events in a single flattened loop (one Python frame for the whole
 run instead of one :meth:`step` frame per event); the cooperative
 wall-clock deadline is sampled at exactly the same event ordinals as the
 one-event-per-call :meth:`step` path, so both modes raise
-:class:`WallDeadlineExceededError` at identical points.
-
-An optional compiled event core (``REPRO_SIM_BACKEND=compiled``, see
-:mod:`repro.sim.backend`) replaces the heap with a C extension using raw
-``double``/``int64`` arrays — no tuple boxing at all.  The pure-Python
-heap remains the reference; the golden-trace suite pins both to
-byte-identical traces.
+:class:`WallDeadlineExceededError` at identical points.  The golden-trace
+suite (``tests/sim/test_trace_golden.py``) pins the traces this core
+produces byte for byte.
 """
 
 from __future__ import annotations
@@ -234,12 +230,6 @@ class EventHeap:
             return entry[0]
         return None
 
-    def peek(self) -> Optional[Event]:
-        """Earliest live event without removing it (prunes cancelled)."""
-        if self.peek_time() is None:
-            return None
-        return self._events[self._index[0][2]]
-
     def clear(self) -> None:
         for ev in self._events:
             if ev is not None:
@@ -249,12 +239,6 @@ class EventHeap:
         self._gen.clear()
         self._free.clear()
         self._live = 0
-
-
-def _backend_classes() -> "tuple[Callable[[], EventHeap], type]":
-    from repro.sim.backend import event_factory, heap_factory
-
-    return heap_factory(), event_factory()
 
 
 class SimEngine:
@@ -273,8 +257,7 @@ class SimEngine:
     """
 
     def __init__(self) -> None:
-        heap_cls, self._event_cls = _backend_classes()
-        self._heap: EventHeap = heap_cls()
+        self._heap = EventHeap()
         self._seq = 0
         self._now: float = 0.0
         self._events_processed: int = 0
@@ -325,7 +308,7 @@ class SimEngine:
             )
         seq = self._seq
         self._seq = seq + 1
-        ev = self._event_cls(time, seq, kind, callback, label)
+        ev = Event(time, seq, kind, callback, label)
         self._heap.push(ev)
         return ev
 
@@ -493,10 +476,6 @@ class SimEngine:
             if guard is not None and self._events_processed > guard:
                 raise RuntimeError(f"exceeded max_events={guard}")
         return True
-
-    def _peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without executing it."""
-        return self._heap.peek()
 
     # ------------------------------------------------------------------
     # Introspection / reset

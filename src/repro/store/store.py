@@ -37,11 +37,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
-from repro.store import merge as merge_mod
 from repro.store.format import (
     PathLike,
     StoreError,
-    backup_path,
     empty_payload,
     migrate_legacy,
     read_payload,
@@ -320,38 +318,6 @@ class ProfileStore:
         payload = self._write_generation(payload)
         self._base = None
         return payload
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def prune(
-        self, *, max_stale: Optional[int] = None, min_executions: int = 1
-    ) -> int:
-        """Drop stale/thin entries in place; returns entries removed."""
-        with self._locked():
-            payload, removed = merge_mod.prune_payload(
-                self.load(),
-                decay=self.decay,
-                max_stale=max_stale,
-                min_executions=min_executions,
-            )
-            if removed:
-                write_payload(self.path, payload)
-        self._seen_text = self._read_text()
-        return removed
-
-    def migrate_file(self, legacy_path: PathLike) -> dict:
-        """Import a legacy hints file (XML/JSON) as this store's content."""
-        payload = read_payload(legacy_path)
-        with self._locked():
-            write_payload(self.path, payload)
-        self._seen_text = self._read_text()
-        return payload
-
-    @property
-    def backup(self) -> Path:
-        """Path of the rotated previous generation."""
-        return backup_path(self.path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProfileStore({str(self.path)!r}, decay={self.decay})"

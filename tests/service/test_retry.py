@@ -119,6 +119,34 @@ def test_server_never_replying_is_typed_timeout():
     thread.join(timeout=5)
 
 
+def test_client_reconnects_after_timeout():
+    # the first connection never gets its reply; after the typed timeout
+    # the same client must reconnect instead of reusing the dead stream
+    conns = iter(range(2))
+
+    def late_then_prompt(conn: socket.socket) -> None:
+        first = next(conns) == 0
+        conn.recv(65536)
+        if first:
+            conn.settimeout(5)
+            try:
+                while conn.recv(65536):  # until the client hangs up
+                    pass
+            except OSError:
+                pass
+            return
+        conn.sendall(b'{"ok": true}\n')
+
+    host, port, thread = _fake_server(late_then_prompt, max_conns=2)
+    client = ServiceClient(host, port, timeout=0.2)
+    with pytest.raises(ServiceError) as err:
+        client.ping()
+    assert err.value.code == "timeout"
+    assert client.ping()["ok"]
+    client.close()
+    thread.join(timeout=5)
+
+
 def test_non_json_reply_is_typed_bad_frame():
     def liar(conn: socket.socket) -> None:
         conn.recv(65536)

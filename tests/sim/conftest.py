@@ -1,11 +1,6 @@
-"""Fixtures for the simulator test suite: backend switching + goldens."""
+"""Fixtures for the simulator test suite: the golden-fixture switch."""
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
-
-import pytest
 
 
 def pytest_addoption(parser):
@@ -13,46 +8,7 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="regenerate tests/sim/fixtures/golden_traces.json from the "
-        "pure backend instead of asserting against it (use only after "
-        "an intentional semantic change)",
+        help="regenerate tests/sim/fixtures/golden_traces.json instead of "
+        "asserting against it (use only after an intentional semantic "
+        "change)",
     )
-
-
-@contextmanager
-def use_backend(name: str):
-    """Run with ``REPRO_SIM_BACKEND=name`` for engines built inside.
-
-    The backend is resolved per-process and cached; this resets the
-    cache on entry and exit so engines constructed outside the block
-    keep following the environment default.
-    """
-    from repro.sim import backend
-
-    prev = os.environ.get("REPRO_SIM_BACKEND")
-    os.environ["REPRO_SIM_BACKEND"] = name
-    backend._reset_for_tests()
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_SIM_BACKEND", None)
-        else:
-            os.environ["REPRO_SIM_BACKEND"] = prev
-        backend._reset_for_tests()
-
-
-def compiled_heap_classes():
-    """(EventHeap, Event) from the compiled backend, or skip.
-
-    Skips rather than fails when no C toolchain/headers exist so the
-    tier-1 suite stays green on minimal machines; the dedicated CI job
-    (compiled-backend) runs where a compiler is guaranteed.
-    """
-    from repro.sim.evcore_build import EvcoreBuildError, load_evcore
-
-    try:
-        mod = load_evcore()
-    except EvcoreBuildError as exc:
-        pytest.skip(f"compiled event core unavailable: {exc}")
-    return mod.EventHeap, mod.Event

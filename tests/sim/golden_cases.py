@@ -4,11 +4,9 @@ The golden suite pins the *observable outcome* of a fixed matrix of
 simulated runs — app × scheduler × machine × seed, with and without
 fault plans — as SHA-256 digests of the serialized :class:`RunResult`
 and :class:`Trace`.  The committed fixture file was generated from the
-pre-optimization tree, so the suite simultaneously proves
-
-* the flattened hot path (batched event core, interned regions) did not
-  change a single trace byte versus the seed behavior, and
-* the pure and compiled event-core backends are byte-equivalent.
+pre-optimization tree, so the suite proves the flattened hot path
+(batched event core, interned regions) did not change a single trace
+byte versus the seed behavior.
 
 Regenerate fixtures (only after an *intentional* semantic change) with::
 

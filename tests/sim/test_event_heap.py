@@ -1,4 +1,4 @@
-"""Property tests for the array-backed event heap (both backends).
+"""Property tests for the array-backed event heap.
 
 Three contracts, each checked against simple reference models:
 
@@ -6,55 +6,29 @@ Three contracts, each checked against simple reference models:
 * FIFO stability: among equal timestamps, insertion order wins;
 * free-list reuse can never resurrect (or re-cancel) a later slot
   occupant — stale handles are dead after the generation bump.
-
-The same properties run against the pure-Python ``EventHeap`` and, when
-a C toolchain is available, the compiled ``_evcore`` heap with both
-event classes.
 """
 
 from __future__ import annotations
 
 import heapq
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Event as PureEvent
-from repro.sim.engine import EventHeap as PureHeap
-from repro.sim.engine import EventKind
-
-from .conftest import compiled_heap_classes
-
-
-backends = pytest.mark.parametrize("backend", ["pure", "compiled"])
-
-
-def _classes(backend: str):
-    """(heap_cls, event_cls) for a backend name; skips when unbuildable.
-
-    A plain helper rather than a fixture: hypothesis forbids
-    function-scoped fixtures under ``@given``, and the classes carry no
-    per-test state anyway.
-    """
-    if backend == "pure":
-        return PureHeap, PureEvent
-    return compiled_heap_classes()
+from repro.sim.engine import Event, EventHeap, EventKind
 
 
 #: small float times with deliberate duplicates so ties are common
 times = st.floats(min_value=0.0, max_value=4.0, allow_nan=False, width=16)
 
 
-@backends
 @given(st.lists(times, max_size=80))
 @settings(max_examples=120, deadline=None)
-def test_pop_order_equals_heapq_model(backend, ts):
-    heap_cls, event_cls = _classes(backend)
-    h = heap_cls()
+def test_pop_order_equals_heapq_model(ts):
+    h = EventHeap()
     model: list[tuple[float, int]] = []
     for seq, t in enumerate(ts):
-        h.push(event_cls(t, seq, EventKind.GENERIC, None))
+        h.push(Event(t, seq, EventKind.GENERIC, None))
         heapq.heappush(model, (t, seq))
     out = []
     while True:
@@ -66,14 +40,12 @@ def test_pop_order_equals_heapq_model(backend, ts):
     assert len(h) == 0 and h.live == 0
 
 
-@backends
 @given(st.integers(min_value=2, max_value=40))
 @settings(max_examples=60, deadline=None)
-def test_fifo_stability_among_equal_timestamps(backend, n):
-    heap_cls, event_cls = _classes(backend)
-    h = heap_cls()
+def test_fifo_stability_among_equal_timestamps(n):
+    h = EventHeap()
     for seq in range(n):
-        h.push(event_cls(1.0, seq, EventKind.GENERIC, None))
+        h.push(Event(1.0, seq, EventKind.GENERIC, None))
     popped = [h.pop().seq for _ in range(n)]
     assert popped == list(range(n))
 
@@ -87,20 +59,18 @@ ops = st.lists(
 )
 
 
-@backends
 @given(ops)
 @settings(max_examples=120, deadline=None)
-def test_interleaved_ops_match_reference_model(backend, stream):
+def test_interleaved_ops_match_reference_model(stream):
     """Pushes, lazy cancels and pops against a filtered-heapq model."""
-    heap_cls, event_cls = _classes(backend)
-    h = heap_cls()
+    h = EventHeap()
     events = []
     cancelled: set[int] = set()
     model: list[tuple[float, int]] = []
     seq = 0
     for kind, t, idx in stream:
         if kind == 0 or not events:
-            ev = event_cls(t, seq, EventKind.GENERIC, None)
+            ev = Event(t, seq, EventKind.GENERIC, None)
             h.push(ev)
             events.append(ev)
             heapq.heappush(model, (t, seq))
@@ -131,11 +101,9 @@ def test_interleaved_ops_match_reference_model(backend, stream):
     assert h.live == 0
 
 
-@backends
-def test_free_list_reuse_never_resurrects_cancelled_events(backend):
-    heap_cls, event_cls = _classes(backend)
-    h = heap_cls()
-    doomed = [event_cls(float(i), i, EventKind.GENERIC, None) for i in range(8)]
+def test_free_list_reuse_never_resurrects_cancelled_events():
+    h = EventHeap()
+    doomed = [Event(float(i), i, EventKind.GENERIC, None) for i in range(8)]
     for ev in doomed:
         h.push(ev)
     for ev in doomed:
@@ -144,7 +112,7 @@ def test_free_list_reuse_never_resurrects_cancelled_events(backend):
     # popping prunes the cancelled payloads and recycles every slot
     assert h.pop() is None
     # the recycled slots must serve fresh events exactly once
-    fresh = [event_cls(float(i), 100 + i, EventKind.GENERIC, None)
+    fresh = [Event(float(i), 100 + i, EventKind.GENERIC, None)
              for i in range(8)]
     for ev in fresh:
         h.push(ev)
@@ -154,18 +122,16 @@ def test_free_list_reuse_never_resurrects_cancelled_events(backend):
     assert h.pop() is None
 
 
-@backends
-def test_stale_handle_cannot_touch_reused_slot(backend):
+def test_stale_handle_cannot_touch_reused_slot():
     """A double-cancel on a dead event must not affect the slot's new
     occupant (the per-slot generation counter makes the handle stale)."""
-    heap_cls, event_cls = _classes(backend)
-    h = heap_cls()
-    old = event_cls(1.0, 0, EventKind.GENERIC, None)
+    h = EventHeap()
+    old = Event(1.0, 0, EventKind.GENERIC, None)
     h.push(old)
     old.cancel()
     assert h.live == 0
     assert h.pop() is None  # recycles old's slot
-    new = event_cls(2.0, 1, EventKind.GENERIC, None)
+    new = Event(2.0, 1, EventKind.GENERIC, None)
     h.push(new)
     assert h.live == 1
     # stale: old's slot was recycled into `new`
@@ -176,13 +142,11 @@ def test_stale_handle_cannot_touch_reused_slot(backend):
     assert got is not None and got.seq == 1 and not got.cancelled
 
 
-@backends
-def test_double_cancel_counts_once(backend):
-    heap_cls, event_cls = _classes(backend)
-    h = heap_cls()
-    a = event_cls(1.0, 0, EventKind.GENERIC, None)
+def test_double_cancel_counts_once():
+    h = EventHeap()
+    a = Event(1.0, 0, EventKind.GENERIC, None)
     h.push(a)
-    h.push(event_cls(2.0, 1, EventKind.GENERIC, None))
+    h.push(Event(2.0, 1, EventKind.GENERIC, None))
     a.cancel()
     a.cancel()
     a.cancel()
@@ -191,16 +155,3 @@ def test_double_cancel_counts_once(backend):
     assert h.pop() is None
     assert h.live == 0
 
-
-def test_cross_backend_event_interchange():
-    """Each heap accepts the other backend's event objects (the generic
-    attribute protocol), so mixed-object tests and tooling keep working."""
-    c_heap_cls, c_event_cls = compiled_heap_classes()
-    ph, ch = PureHeap(), c_heap_cls()
-    ph.push(c_event_cls(1.0, 0, EventKind.GENERIC, None))
-    ch.push(PureEvent(1.0, 0, EventKind.GENERIC, None))
-    assert ph.pop().seq == 0 and ch.pop().seq == 0
-    # ordering comparison crosses types too (pure Event.__lt__ mirror)
-    assert c_event_cls(0.5, 2, EventKind.GENERIC, None) < PureEvent(
-        1.0, 0, EventKind.GENERIC, None
-    )

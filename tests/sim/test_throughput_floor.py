@@ -39,7 +39,6 @@ def _bench_module():
 # ----------------------------------------------------------------------
 def _payload(calib, rates):
     return {
-        "backend": "pure",
         "calibration_score": calib,
         "workloads": {
             name: {"events_per_sec": r} for name, r in rates.items()
@@ -70,14 +69,11 @@ def test_check_calibrates_across_machine_speeds(capsys):
     assert bench.check(cur, base, tolerance=0.30) == []
 
 
-def test_check_flags_missing_workload_and_backend_mismatch(capsys):
+def test_check_flags_missing_workload(capsys):
     bench = _bench_module()
     base = _payload(1000.0, {"w": 100.0})
     cur = _payload(1000.0, {})
     assert any("missing" in f for f in bench.check(cur, base, 0.30))
-    cur = _payload(1000.0, {"w": 100.0})
-    cur["backend"] = "compiled"
-    assert any("backend" in f for f in bench.check(cur, base, 0.30))
 
 
 def test_committed_baseline_is_wellformed():
@@ -101,7 +97,7 @@ tier2 = pytest.mark.skipif(
 
 @tier2
 def test_events_per_sec_stays_above_calibrated_floor():
-    """The pure backend must sustain a conservative events/sec floor.
+    """The event core must sustain a conservative events/sec floor.
 
     The floor is expressed relative to the machine's calibration score,
     so a slow runner scales the bar down instead of flaking.  The

@@ -3,14 +3,10 @@
 Every case in :mod:`sim.golden_cases` — app × scheduler × machine ×
 seed, with and without fault plans, with and without speculation — must
 reproduce the committed SHA-256 digests of its serialized
-:class:`RunResult` and :class:`Trace` **byte for byte**, on both the
-pure-Python and the compiled event-core backend.  The fixtures were
-generated from the pre-optimization tree, so a pass simultaneously
-proves
-
-* the flattened hot path did not change observable behavior vs the
-  seed commit, and
-* the two backends are trace-equivalent.
+:class:`RunResult` and :class:`Trace` **byte for byte** on the pure-Python
+event core.  The fixtures were generated from the pre-optimization tree,
+so a pass proves the flattened hot path did not change observable
+behavior vs the seed commit.
 
 Regenerate fixtures only after an intentional semantic change::
 
@@ -21,7 +17,6 @@ from __future__ import annotations
 
 import pytest
 
-from .conftest import use_backend
 from .golden_cases import (
     CASES,
     CASES_BY_ID,
@@ -39,8 +34,7 @@ CASE_IDS = list(CASES_BY_ID)
 def golden(request):
     """The committed digests (regenerated under ``--update-golden``)."""
     if request.config.getoption("--update-golden"):
-        with use_backend("pure"):
-            payload = compute_all()
+        payload = compute_all()
         write_fixture(payload)
         return payload
     return load_fixture()
@@ -48,20 +42,7 @@ def golden(request):
 
 @pytest.fixture(scope="session")
 def pure_digests():
-    with use_backend("pure"):
-        return compute_all()
-
-
-@pytest.fixture(scope="session")
-def compiled_digests():
-    from repro.sim.evcore_build import EvcoreBuildError, load_evcore
-
-    try:
-        load_evcore()
-    except EvcoreBuildError as exc:
-        pytest.skip(f"compiled event core unavailable: {exc}")
-    with use_backend("compiled"):
-        return compute_all()
+    return compute_all()
 
 
 def test_fixture_covers_every_case(golden):
@@ -73,11 +54,6 @@ def test_pure_backend_matches_golden(case_id, golden, pure_digests):
     assert pure_digests[case_id] == golden[case_id]
 
 
-@pytest.mark.parametrize("case_id", CASE_IDS)
-def test_compiled_backend_matches_golden(case_id, golden, compiled_digests):
-    assert compiled_digests[case_id] == golden[case_id]
-
-
 def test_armed_wall_deadline_does_not_perturb_traces(golden):
     """A generous armed deadline must not change a single trace byte.
 
@@ -85,6 +61,5 @@ def test_armed_wall_deadline_does_not_perturb_traces(golden):
     digest must equal the fixture recorded with the deadline disarmed.
     """
     case = CASES[0]
-    with use_backend("pure"):
-        result, events = run_case(case, wall_deadline=600.0)
+    result, events = run_case(case, wall_deadline=600.0)
     assert digest_result(result, events) == golden[case.id]
