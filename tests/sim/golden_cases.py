@@ -36,7 +36,11 @@ class GoldenCase:
     machine: str = "node"         # key into _machine()
     config: Optional[Mapping[str, Any]] = None
     faults: Optional[str] = None  # key into _fault_plan()
-    speculate: bool = False
+    #: RecoveryPolicy options; None runs the default policy
+    recovery: Optional[Mapping[str, Any]] = None
+    #: resilience / cluster counters (``fired_counters``) the fault plan
+    #: must drive above zero, so a case cannot silently stop firing
+    fires: tuple[str, ...] = ()
 
 
 def _machine(name: str):
@@ -66,24 +70,54 @@ def _fault_plan(name: Optional[str]):
         WorkerSlowdown,
     )
 
-    if name == "chaos":
-        # transient faults + a permanent worker death + a straggler pair
-        # (hang + slowdown) — exercises retry, quarantine bookkeeping and
-        # speculative re-execution
+    if name in ("chaos", "chaos-early"):
+        # transient faults + a straggler pair (hang + slowdown): retry
+        # and a speculative win fire.  The plain plan kills smp1 at
+        # 0.02 s, after its run has ended (~0.0006 s), so no worker dies;
+        # "chaos-early" kills it at 0.0002 s, mid-run
         return FaultPlan(
             seed=7,
             task_faults=(TaskFaultRule(at_starts=(3, 9), probability=0.02),),
-            worker_failures=(WorkerFailure("smp1", 0.02),),
+            worker_failures=(
+                WorkerFailure("smp1", 0.02 if name == "chaos" else 0.0002),
+            ),
             hangs=(HangRule(at_starts=(5,)),),
             slowdowns=(WorkerSlowdown("gpu1", 0.0005, 20.0),),
         )
     if name == "netloss":
-        # lossy interconnect + a mid-run node crash: retransmission,
-        # epoch fencing, evacuation and lineage recompute all fire
+        # lossy interconnect + a node crash, both armed but neither
+        # fired: the crash at 0.05 s falls after the run ends
+        # (~0.0008 s), and the case it runs in has no cross-shard edges,
+        # so no message is sent to drop
         return FaultPlan(
             seed=11,
             message_faults=(MessageFaultRule(drop=0.15, delay=0.05, delay_time=0.001),),
             node_crashes=(NodeCrashRule(node=2, at_time=0.05),),
+        )
+    if name == "netloss-rejoin":
+        # lossy interconnect + a mid-run crash of node 2 that rejoins:
+        # drops, retransmission, evacuation and lineage recompute fire
+        return FaultPlan(
+            seed=11,
+            message_faults=(MessageFaultRule(drop=0.15, delay=0.05, delay_time=0.0001),),
+            node_crashes=(NodeCrashRule(node=2, at_time=0.0003, rejoin_after=0.0002),),
+        )
+    if name == "crash-rejoin":
+        # a mid-run crash of node 2 that rejoins, on a reliable network:
+        # lost regions are recomputed and waiting readers re-issue their
+        # transfers once the recomputation lands
+        return FaultPlan(
+            seed=11,
+            node_crashes=(NodeCrashRule(node=2, at_time=0.0003, rejoin_after=0.0002),),
+        )
+    if name == "stragglers":
+        # a slowed GPU + two hangs under an aggressive deadline: copies
+        # are cancelled when the original wins, copies win, and one
+        # straggler with no alternate pair is aborted and retried
+        return FaultPlan(
+            seed=3,
+            slowdowns=(WorkerSlowdown("gpu0", 0.0001, 2.0),),
+            hangs=(HangRule(at_starts=(4, 7)),),
         )
     raise ValueError(f"unknown golden fault plan {name!r}")
 
@@ -100,7 +134,10 @@ def _app(case: GoldenCase):
 #: The pinned matrix.  Every case must complete in well under a second;
 #: together they cover all canonical schedulers, single-node and sharded
 #: cluster machines, throttled/no-overlap configs, fault plans and
-#: speculative re-execution.
+#: speculative re-execution.  The cases that name ``fires`` reach every
+#: recovery path of the runtime: speculative wins and cancellations,
+#: straggler aborts, worker death, message loss, node crash and rejoin,
+#: lineage recompute and the transfer re-issue after it.
 CASES: tuple[GoldenCase, ...] = (
     GoldenCase(
         id="matmul3-hyb-versioning-node",
@@ -112,7 +149,7 @@ CASES: tuple[GoldenCase, ...] = (
         app="matmul",
         app_args={"n_tiles": 3, "tile_size": 64, "variant": "hyb"},
         faults="chaos",
-        speculate=True,
+        recovery={"speculate": True},
     ),
     GoldenCase(
         id="matmul3-hyb-versioning-noprefetch",
@@ -177,6 +214,61 @@ CASES: tuple[GoldenCase, ...] = (
         app_args={"n_tiles": 3, "tile_size": 64, "variant": "hyb"},
         scheduler="versioning-locality",
     ),
+    # -- recovery paths: each case fires the counters it names ---------
+    GoldenCase(
+        id="matmul3-hyb-versioning-node-stragglers",
+        app="matmul",
+        app_args={"n_tiles": 3, "tile_size": 64, "variant": "hyb"},
+        faults="stragglers",
+        recovery={"speculate": True, "deadline_grace": 1.0, "deadline_k": 0.0},
+        fires=(
+            "hangs", "straggler_detected", "speculations_won",
+            "speculations_wasted", "retries",
+        ),
+    ),
+    GoldenCase(
+        id="matmul3-hyb-versioning-node-chaos-early",
+        app="matmul",
+        app_args={"n_tiles": 3, "tile_size": 64, "variant": "hyb"},
+        faults="chaos-early",
+        recovery={"speculate": True},
+        fires=("worker_failures", "tasks_redispatched", "task_faults",
+               "speculations_won"),
+    ),
+    GoldenCase(
+        id="cholesky6-hyb-cluster-block-netloss-rejoin",
+        app="cholesky",
+        app_args={"n_blocks": 6, "block_size": 64, "variant": "hyb"},
+        scheduler="cluster",
+        scheduler_options={
+            "partition": "block",
+            "steal": True,
+            "protocol": {"ack_timeout": 0.0005},
+        },
+        machine="cluster4",
+        faults="netloss-rejoin",
+        fires=(
+            "messages_dropped", "retransmits", "node_crashes", "node_rejoins",
+            "worker_failures", "evacuations", "regions_lost", "recompute_tasks",
+        ),
+    ),
+    GoldenCase(
+        id="matmul4-hyb-cluster-affinity-crash",
+        app="matmul",
+        app_args={"n_tiles": 4, "tile_size": 64, "variant": "hyb"},
+        scheduler="cluster",
+        scheduler_options={
+            "partition": "affinity",
+            "steal": True,
+            "protocol": {"ack_timeout": 0.0005},
+        },
+        machine="cluster4",
+        faults="crash-rejoin",
+        fires=(
+            "node_crashes", "node_rejoins", "evacuations", "regions_lost",
+            "recompute_tasks",
+        ),
+    ),
 )
 
 CASES_BY_ID = {c.id: c for c in CASES}
@@ -191,7 +283,7 @@ def run_case(case: GoldenCase, *, wall_deadline: Optional[float] = None):
     machine = _machine(case.machine)
     app.register_cost_models(machine)
     config = RuntimeConfig(**dict(case.config)) if case.config else None
-    recovery = RecoveryPolicy(speculate=True) if case.speculate else None
+    recovery = RecoveryPolicy(**dict(case.recovery)) if case.recovery else None
     rt = OmpSsRuntime(
         machine,
         case.scheduler,
@@ -207,6 +299,17 @@ def run_case(case: GoldenCase, *, wall_deadline: Optional[float] = None):
     with rt:
         app.master(rt)
     return rt.result(), rt.engine.events_processed
+
+
+def fired_counters(result) -> dict[str, int]:
+    """Resilience counters of a run, plus the cluster protocol's."""
+    counters = dict(result.resilience.as_dict())
+    stats = getattr(result.scheduler_state, "stats", None)
+    if stats is not None:
+        counters.update(
+            (k, v) for k, v in stats.as_dict().items() if isinstance(v, int)
+        )
+    return counters
 
 
 def digest_result(result, events: int) -> dict:

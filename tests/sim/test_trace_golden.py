@@ -22,12 +22,14 @@ from .golden_cases import (
     CASES_BY_ID,
     compute_all,
     digest_result,
+    fired_counters,
     load_fixture,
     run_case,
     write_fixture,
 )
 
 CASE_IDS = list(CASES_BY_ID)
+FIRING_IDS = [c.id for c in CASES if c.fires]
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +65,13 @@ def test_armed_wall_deadline_does_not_perturb_traces(golden):
     case = CASES[0]
     result, events = run_case(case, wall_deadline=600.0)
     assert digest_result(result, events) == golden[case.id]
+
+
+@pytest.mark.parametrize("case_id", FIRING_IDS)
+def test_fault_plan_fires_named_counters(case_id):
+    """Each recovery case still drives every counter it names above 0."""
+    case = CASES_BY_ID[case_id]
+    result, _ = run_case(case)
+    counters = fired_counters(result)
+    silent = [name for name in case.fires if counters[name] <= 0]
+    assert not silent, f"{case_id} no longer fires {silent}"
