@@ -211,10 +211,7 @@ class ShardedClusterScheduler(Scheduler):
             return
         seq = self.rt._local_ids.get(t.uid, t.uid)
         allowed = self._capable_nodes(t)
-        loads = [0] * self.n_nodes
-        for n, c in self.stats.tasks_per_node.items():
-            loads[n] = c
-        node = self.partitioner.assign(t, seq, allowed, loads)
+        node = self.partitioner.assign(t, seq, allowed, self._loads())
         if node not in allowed:  # pragma: no cover - defensive
             node = allowed[0]
         self.shard_of[t.uid] = node
@@ -280,12 +277,21 @@ class ShardedClusterScheduler(Scheduler):
         still in flight."""
         if self.n_nodes == 1 or any(w.alive for w in self.node_workers[node]):
             return node
-        allowed = self._capable_nodes(t)
+        return self._rehome(t, node)
+
+    def _loads(self) -> list[int]:
+        """Tasks sharded on each node so far, indexed by node id."""
         loads = [0] * self.n_nodes
         for n, c in self.stats.tasks_per_node.items():
             loads[n] = c
-        dst = min(allowed, key=lambda n: (loads[n], n))
-        self._move_shard(t, node, dst)
+        return loads
+
+    def _rehome(self, t: TaskInstance, src: int) -> int:
+        """Move ``t``'s shard from ``src`` to the least loaded capable
+        node (lowest id on ties) and return that node."""
+        loads = self._loads()
+        dst = min(self._capable_nodes(t), key=lambda n: (loads[n], n))
+        self._move_shard(t, src, dst)
         self.stats.evacuated_tasks += 1
         return dst
 
@@ -442,14 +448,7 @@ class ShardedClusterScheduler(Scheduler):
         for uid, node in list(self.shard_of.items()):
             if node != dead or uid not in g._unfinished:
                 continue
-            t = g.task(uid)
-            allowed = self._capable_nodes(t)
-            loads = [0] * self.n_nodes
-            for n, c in self.stats.tasks_per_node.items():
-                loads[n] = c
-            dst = min(allowed, key=lambda n: (loads[n], n))
-            self._move_shard(t, dead, dst)
-            self.stats.evacuated_tasks += 1
+            self._rehome(g.task(uid), dead)
 
     def _evacuate(self, dead_node: int) -> None:
         """Re-home the ready pool of a node that lost all its workers."""
@@ -459,14 +458,7 @@ class ShardedClusterScheduler(Scheduler):
             t = self.inner[dead_node].steal_ready_task(lambda task: True)
             if t is None:
                 break
-            allowed = self._capable_nodes(t)
-            loads = [0] * self.n_nodes
-            for n, c in self.stats.tasks_per_node.items():
-                loads[n] = c
-            node = min(allowed, key=lambda n: (loads[n], n))
-            self._move_shard(t, dead_node, node)
-            self.stats.evacuated_tasks += 1
-            self._release(t, node)
+            self._release(t, self._rehome(t, dead_node))
 
     # ------------------------------------------------------------------
     # Work stealing

@@ -114,12 +114,6 @@ class Directory:
     def is_valid(self, region: DataRegion, space: str) -> bool:
         return space in self._entry(region).valid
 
-    def register_valid_in(self, region: DataRegion, space: str) -> bool:
-        """Register ``region`` (idempotent) and report whether ``space``
-        already holds a valid copy — one entry lookup instead of the
-        register + is_valid pair on the cluster push hot path."""
-        return space in self._entry(region).valid
-
     def dirty_owner(self, region: DataRegion) -> Optional[str]:
         return self._entry(region).dirty_owner
 

@@ -166,6 +166,31 @@ class TransferEngine:
         bw_f, lat_f = self.resilience.link_factors(link.src, link.dst, start)
         return link.latency * lat_f + (nbytes / link.bandwidth) * bw_f
 
+    def _claim(self, link, ready: float, nbytes: int) -> tuple[float, float]:
+        """Book one hop of ``nbytes`` on ``link``'s earliest-free channel.
+
+        The channel with the earliest free time wins, lowest index on
+        ties (strict ``<`` scan ≡ min over (free time, index)); the hop
+        starts no earlier than ``ready``.  Returns the hop's
+        ``(start, end)``.
+        """
+        key = self._channel_key(link)
+        channels = self._channel_free_at.get(key)
+        if channels is None:
+            channels = self._channel_free_at[key] = [0.0] * link.channels
+        ch = 0
+        free = channels[0]
+        for i in range(1, len(channels)):
+            if channels[i] < free:
+                free = channels[i]
+                ch = i
+        start = ready if ready > free else free
+        # the hop time is added in one step: float addition is not
+        # associative, and traces pin this order bit for bit
+        end = start + self._hop_time(link, nbytes, start)
+        channels[ch] = end
+        return start, end
+
     def issue(
         self,
         request: TransferRequest,
@@ -202,33 +227,12 @@ class TransferEngine:
         host = self.host
         link_worker = self._link_worker
         for link in self.machine.route(request.src, request.dst):
-            key = self._channel_key(link)
-            channels = self._channel_free_at.get(key)
-            if channels is None:
-                channels = self._channel_free_at[key] = [0.0] * link.channels
             attempt = 1
             while True:
-                # earliest-free channel, lowest index on ties (strict <
-                # scan ≡ min over (free time, index))
-                ch = 0
-                free = channels[0]
-                for i in range(1, len(channels)):
-                    if channels[i] < free:
-                        free = channels[i]
-                        ch = i
-                start = end if end > free else free
-                if resilience is None:
-                    hop_end = start + link.transfer_time(nbytes)
-                    failed = False
-                else:
-                    bw_f, lat_f = resilience.link_factors(link.src, link.dst, start)
-                    # parenthesised like _hop_time: float addition is not
-                    # associative and the traces are pinned bit-for-bit
-                    hop_end = start + (
-                        link.latency * lat_f + (nbytes / link.bandwidth) * bw_f
-                    )
-                    failed = resilience.transfer_fault(link.src, link.dst)
-                channels[ch] = hop_end
+                start, hop_end = self._claim(link, end, nbytes)
+                failed = resilience is not None and resilience.transfer_fault(
+                    link.src, link.dst
+                )
                 stats.record(link.src, link.dst, nbytes, host)
                 if trace is not None:
                     lkey = (link.src, link.dst)
@@ -299,20 +303,7 @@ class TransferEngine:
             raise ValueError("cannot send a negative-size message")
         end = self.engine.now
         for link in self.machine.route(src, dst):
-            key = self._channel_key(link)
-            channels = self._channel_free_at.get(key)
-            if channels is None:
-                channels = self._channel_free_at[key] = [0.0] * link.channels
-            ch = 0
-            free = channels[0]
-            for i in range(1, len(channels)):
-                if channels[i] < free:
-                    free = channels[i]
-                    ch = i
-            start = end if end > free else free
-            hop_end = start + self._hop_time(link, nbytes, start)
-            channels[ch] = hop_end
-            end = hop_end
+            _, end = self._claim(link, end, nbytes)
         self.messages_sent += 1
         self.message_bytes += nbytes
         fault = (

@@ -384,8 +384,6 @@ class ResilienceManager:
         assert self.rt is not None and t.chosen_version is not None
         self.stats.task_faults += 1
         t.failed_pairs.add((t.chosen_version.name, worker.name))
-        self._transient[worker.name] = self._transient.get(worker.name, 0) + 1
-        self._worker_faults[worker.name] = self._worker_faults.get(worker.name, 0) + 1
         if will_retry:
             t.attempts += 1
             if t.attempts > self.policy.max_task_retries:
@@ -394,6 +392,14 @@ class ResilienceManager:
                     f"(retry budget {self.policy.max_task_retries})"
                 )
             self.stats.retries += 1
+        self._strike(worker)
+
+    def _strike(self, worker: "Worker") -> None:
+        """Count one strike against ``worker``: its fault streak and
+        cumulative fault count grow, and a streak reaching the threshold
+        quarantines it."""
+        self._transient[worker.name] = self._transient.get(worker.name, 0) + 1
+        self._worker_faults[worker.name] = self._worker_faults.get(worker.name, 0) + 1
         if (
             worker.alive
             and worker.quarantined_until is None
@@ -510,16 +516,8 @@ class ResilienceManager:
         """
         self._active_spec.pop(primary.uid, None)
         self.stats.speculations_won += 1
-        if loser is None:
-            return
-        self._transient[loser.name] = self._transient.get(loser.name, 0) + 1
-        self._worker_faults[loser.name] = self._worker_faults.get(loser.name, 0) + 1
-        if (
-            loser.alive
-            and loser.quarantined_until is None
-            and self._transient[loser.name] >= self.policy.quarantine_threshold
-        ):
-            self._quarantine(loser)
+        if loser is not None:
+            self._strike(loser)
 
     def on_speculation_wasted(self, primary: "TaskInstance") -> None:
         """The speculative copy was withdrawn (original finished first,

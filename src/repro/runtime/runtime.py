@@ -25,9 +25,8 @@ kernels so applications produce verifiable numerical results.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from repro.memory.cache import CacheManager, CacheStats
 from repro.memory.directory import Directory, TransferRequest
@@ -516,7 +515,7 @@ class OmpSsRuntime:
         already holds (or is already receiving) a valid copy.
         """
         now = self.engine.now
-        if self.directory.register_valid_in(region, space):
+        if self.directory.is_valid(region, space):
             return now, False
         rec = self._recovering.get(region.rid)
         if rec is not None:
@@ -552,18 +551,11 @@ class OmpSsRuntime:
                 if best is None or cand < best:
                     best = cand
             if best is not None:
-                req = TransferRequest(region, best[1], space)
-                done = self.transfer_engine.issue(
-                    req, earliest=best[0], on_complete=self._make_transfer_done(req)
-                )
-                self._set_inflight(region.rid, space, done)
-                return done, True
+                return self._copy(TransferRequest(region, best[1], space), best[0]), True
         req = self.directory.reads_needed(region, space)
         if req is None:  # pragma: no cover - raced with completion
             return now, False
-        done = self.transfer_engine.issue(req, on_complete=self._make_transfer_done(req))
-        self._set_inflight(region.rid, space, done)
-        return done, True
+        return self._copy(req), True
 
     def missing_read_bytes(self, t: TaskInstance, space: str) -> int:
         """Bytes that would have to move for ``t``'s reads on ``space``.
@@ -664,24 +656,14 @@ class OmpSsRuntime:
                 if host is not None and host != space:
                     staged = by_space.get(host) if by_space is not None else None
                     if staged is not None and staged > threshold:
-                        req = TransferRequest(region, host, space)
-                        done = self.transfer_engine.issue(
-                            req,
-                            earliest=staged,
-                            on_complete=self._make_transfer_done(req),
-                        )
-                        by_space[space] = done
+                        done = self._copy(TransferRequest(region, host, space), staged)
                         if done > ready:
                             ready = done
                         continue
             req = directory.reads_needed(region, space)
             if req is None:  # pragma: no cover - raced with completion
                 continue
-            done = self.transfer_engine.issue(
-                req,
-                on_complete=self._make_transfer_done(req),
-            )
-            self._set_inflight(rid, space, done)
+            done = self._copy(req)
             if done > ready:
                 ready = done
         return ready
@@ -693,30 +675,62 @@ class OmpSsRuntime:
         done = self._issue_read_transfers(t, space)
         if done > self._xfer_ready[t.uid]:
             self._xfer_ready[t.uid] = done
-        w = (
-            self._workers_by_name.get(t.chosen_worker)
-            if t.chosen_worker
-            else None
-        )
+        w = self._worker_of(t)
         if w is not None:
             self._try_start(w)
 
-    def _set_inflight(self, rid: int, space: str, done: float) -> None:
-        by_space = self._inflight.get(rid)
-        if by_space is None:
-            by_space = self._inflight[rid] = {}
-        by_space[space] = done
+    def _copy(self, req: TransferRequest, earliest: Optional[float] = None) -> float:
+        """Issue one copy and track it as in flight until it lands.
 
-    def _make_transfer_done(self, req: TransferRequest):
+        Returns the copy's completion time; on completion the directory
+        marks the destination valid, unless its node died meanwhile.
+        """
+        region = req.region
+        dst = req.dst
+
         def _done() -> None:
-            if req.dst in self.transfer_engine.down_spaces:
+            if dst in self.transfer_engine.down_spaces:
                 return  # the destination's node died while on the wire
-            self.directory.mark_valid(req.region, req.dst)
-            by_space = self._inflight.get(req.region.rid)
+            self.directory.mark_valid(region, dst)
+            by_space = self._inflight.get(region.rid)
             if by_space is not None:
-                by_space.pop(req.dst, None)
+                by_space.pop(dst, None)
 
-        return _done
+        done = self.transfer_engine.issue(req, earliest=earliest, on_complete=_done)
+        by_space = self._inflight.get(region.rid)
+        if by_space is None:
+            by_space = self._inflight[region.rid] = {}
+        by_space[dst] = done
+        return done
+
+    def _worker_of(self, t: TaskInstance) -> Optional[Worker]:
+        """The worker ``t`` was last dispatched to (None if never)."""
+        return self._workers_by_name.get(t.chosen_worker) if t.chosen_worker else None
+
+    def _unpin(self, t: TaskInstance, space: str) -> None:
+        """Release the pins ``t``'s preparation took in ``space``."""
+        if t.uid in self._pinned:
+            self._pinned.discard(t.uid)
+            for region in t.regions():
+                self.cache.unpin(space, region)
+
+    def _stop(self, t: TaskInstance, worker: Worker, category: str, *meta: Any) -> None:
+        """End ``t``'s execution on ``worker`` before it completes.
+
+        Frees the worker, cancels the pending end event (a no-op for the
+        event now firing), charges the burned time as busy time and
+        writes a ``category`` trace record over the execution.
+        """
+        now = self.engine.now
+        worker.current = None
+        if worker._end_event is not None:
+            worker._end_event.cancel()
+            worker._end_event = None
+        worker.busy_time += now - t.start_time
+        self.trace.add(
+            t.start_time, now, worker.name, category, t.chosen_version.name,
+            meta=(self._local_ids[t.uid], *meta),
+        )
 
     def _try_start(self, worker: Worker) -> None:
         if not worker.alive or worker.current is not None:
@@ -757,7 +771,6 @@ class OmpSsRuntime:
             # hung execution: occupies the worker forever and never
             # fires a completion event — only the straggler watchdog
             # (or the progress watchdog) can resolve it
-            worker.free_at = math.inf
             worker._end_event = None
         else:
             fail_fraction = self.resilience.task_fault_at_start(t, worker)
@@ -766,7 +779,6 @@ class OmpSsRuntime:
                 # for the faulted fraction, then the task re-enters
                 # recovery
                 fail_at = now + duration * fail_fraction
-                worker.free_at = fail_at
                 worker._end_event = self.engine.schedule(
                     fail_at,
                     lambda: self._fail_running(t, worker),
@@ -774,7 +786,6 @@ class OmpSsRuntime:
                     label=t.label,
                 )
             else:
-                worker.free_at = now + duration
                 worker._end_event = self.engine.schedule(
                     now + duration,
                     lambda: self._finish(t, worker),
@@ -793,18 +804,36 @@ class OmpSsRuntime:
         self._try_start(worker)
 
     def _finish(self, t: TaskInstance, worker: Worker) -> None:
-        primary = self._spec_primary.get(t.uid)
-        if primary is not None:
-            # a speculative copy finished first: it wins the race
-            self._finish_speculation_win(t, primary, worker)
-            return
+        """Retire a completed execution: the one retire path.
+
+        A speculative copy that finishes first wins the race and retires
+        on behalf of its original, which stays the dependence-graph
+        record (finish order, write lineage, successor release) and
+        takes over the copy's (version, worker) pair; the straggling
+        original, if still running, is stopped as ``spec-abort``.
+        """
         now = self.engine.now
         measured = now - t.start_time
-        self.resilience.on_task_stop(t)
-        shadow = self._spec_shadow.get(t.uid)
-        if shadow is not None:
-            # the straggling original beat its speculative copy after all
-            self._cancel_speculation(shadow)
+        primary = self._spec_primary.pop(t.uid, None)
+        record = t if primary is None else primary
+        self.resilience.on_task_stop(record)
+        loser: Optional[Worker] = None
+        if primary is None:
+            shadow = self._spec_shadow.get(t.uid)
+            if shadow is not None:
+                # the straggling original beat its speculative copy after all
+                self._cancel_speculation(shadow)
+        else:
+            del self._spec_shadow[primary.uid]
+            # cancel the straggling original — unless it already left its
+            # worker (faulted away, or the worker died) and was parked
+            loser = self._worker_of(primary)
+            if loser is not None and loser.current is primary:
+                self._stop(primary, loser, "spec-abort")
+                self._unpin(primary, loser.space)
+                self.scheduler.task_requeued(primary, loser)
+            else:
+                loser = None
         worker.current = None
         worker._end_event = None
         worker.busy_time += measured
@@ -835,26 +864,35 @@ class OmpSsRuntime:
             region = acc.region
             directory.note_write(region, space)
             cache.invalidate_stale_everywhere(region, space)
-            self._write_log.setdefault(region.rid, []).append(t.uid)
+            self._write_log.setdefault(region.rid, []).append(record.uid)
             self._recovering.pop(region.rid, None)  # overwrite supersedes
-        if t.uid in self._pinned:
-            self._pinned.discard(t.uid)
-            for region in t.regions():
-                cache.unpin(space, region)
+        self._unpin(t, space)
+        if primary is not None:
+            # the original retires under the winning pair so dependence-
+            # order analyses and traces agree on where the task really ran
+            primary.chosen_version = t.chosen_version
+            primary.chosen_worker = worker.name
+            primary.start_time = t.start_time
+            primary.end_time = now
+            primary.state = TaskState.FINISHED
 
         by_task = self.version_counts.get(t.name)
         if by_task is None:
             by_task = self.version_counts[t.name] = {}
         vname = t.chosen_version.name
         by_task[vname] = by_task.get(vname, 0) + 1
-        self._finish_order.append(t.uid)
+        self._finish_order.append(record.uid)
         self._tasks_completed += 1
 
         self.resilience.on_task_success(worker)
+        if primary is not None:
+            self.resilience.on_speculation_won(primary, loser)
         self.scheduler.task_finished(t, worker, measured)
-        for succ in self.graph.task_finished(t):
+        for succ in self.graph.task_finished(record):
             self._mark_ready(succ)
         self._try_start(worker)
+        if loser is not None:
+            self._try_start(loser)
 
     # ------------------------------------------------------------------
     # Failure handling (driven by the resilience subsystem)
@@ -867,34 +905,14 @@ class OmpSsRuntime:
         never run, no writes reached the directory, and no duration is
         reported to the scheduler — profile tables stay uncorrupted.
         """
-        now = self.engine.now
-        assert t.chosen_version is not None
         self.resilience.on_task_stop(t)
+        self._stop(t, worker, "fault", t.attempts + 1)
         if t.uid in self._spec_primary:
             # a speculative copy faulted: charge the worker's streak and
             # withdraw the copy — the original is still in flight
-            worker.current = None
-            worker._end_event = None
-            worker.busy_time += now - t.start_time
-            self.trace.add(
-                t.start_time, now, worker.name, "fault",
-                t.chosen_version.name,
-                meta=(self._local_ids[t.uid], t.attempts + 1),
-            )
             self.resilience.on_task_fault(t, worker, will_retry=False)
             self._cancel_speculation(t)
             return
-        worker.current = None
-        worker._end_event = None
-        worker.busy_time += now - t.start_time
-        self.trace.add(
-            t.start_time,
-            now,
-            worker.name,
-            "fault",
-            t.chosen_version.name,
-            meta=(self._local_ids[t.uid], t.attempts + 1),
-        )
         # burns retry budget, records the failed pair, may quarantine the
         # worker (draining its queue); raises TaskRetryExceededError when
         # the budget is gone.  A primary with a live speculative copy
@@ -916,10 +934,7 @@ class OmpSsRuntime:
         now = self.engine.now
         self.resilience.on_task_stop(t)
         self._xfer_ready.pop(t.uid, None)
-        if t.uid in self._pinned:
-            self._pinned.discard(t.uid)
-            for region in t.regions():
-                self.cache.unpin(worker.space, region)
+        self._unpin(t, worker.space)
         self.scheduler.task_requeued(t, worker)
         if t.uid in self._spec_shadow:
             # a primary with a live speculative copy is parked, not
@@ -982,18 +997,7 @@ class OmpSsRuntime:
         worker, and the retry budget and quarantine streak are charged
         exactly as for a transient fault.
         """
-        now = self.engine.now
-        assert t.chosen_version is not None
-        worker.current = None
-        if worker._end_event is not None:
-            worker._end_event.cancel()
-            worker._end_event = None
-        worker.free_at = now
-        worker.busy_time += now - t.start_time
-        self.trace.add(
-            t.start_time, now, worker.name, "aborted",
-            t.chosen_version.name, meta=(self._local_ids[t.uid],),
-        )
+        self._stop(t, worker, "aborted")
         self.resilience.on_task_fault(t, worker)
         self._requeue(t, worker)
         self._try_start(worker)
@@ -1008,143 +1012,29 @@ class OmpSsRuntime:
         while a copy still waiting in a queue burned no worker time and
         leaves only a non-busy ``spec-drop`` point record.
         """
-        now = self.engine.now
         primary = self._spec_primary.pop(shadow.uid, None)
         if primary is not None:
             self._spec_shadow.pop(primary.uid, None)
-        w = (
-            self._workers_by_name.get(shadow.chosen_worker)
-            if shadow.chosen_worker
-            else None
-        )
-        version_name = (
-            shadow.chosen_version.name if shadow.chosen_version else shadow.name
-        )
+        w = self._worker_of(shadow)
         if w is not None:
             if w.current is shadow:
-                w.current = None
-                if w._end_event is not None:
-                    w._end_event.cancel()
-                    w._end_event = None
-                w.free_at = now
-                w.busy_time += now - shadow.start_time
-                self.trace.add(
-                    shadow.start_time, now, w.name, "spec-abort",
-                    version_name, meta=(self._local_ids[shadow.uid],),
-                )
+                self._stop(shadow, w, "spec-abort")
             else:
                 if shadow in w.queue:
                     w.queue.remove(shadow)
+                now = self.engine.now
                 self.trace.add(
-                    now, now, w.name, "spec-drop", version_name,
+                    now, now, w.name, "spec-drop", shadow.chosen_version.name,
                     meta=(self._local_ids[shadow.uid],),
                 )
             self._xfer_ready.pop(shadow.uid, None)
-            if shadow.uid in self._pinned:
-                self._pinned.discard(shadow.uid)
-                for region in shadow.regions():
-                    self.cache.unpin(w.space, region)
+            self._unpin(shadow, w.space)
             self.scheduler.task_requeued(shadow, w)
         shadow.state = TaskState.FINISHED  # retired, never re-dispatched
         if primary is not None:
             self.resilience.on_speculation_wasted(primary)
         if w is not None:
             self._try_start(w)
-
-    def _finish_speculation_win(
-        self, shadow: TaskInstance, primary: TaskInstance, worker: Worker
-    ) -> None:
-        """A speculative copy finished first: it is the execution of
-        record.  The straggling original is cancelled, its worker freed,
-        and its (never-completed) results discarded — the task retires
-        under the copy's (version, worker) pair in dependence order.
-        """
-        now = self.engine.now
-        measured = now - shadow.start_time
-        assert shadow.chosen_version is not None
-        self._spec_primary.pop(shadow.uid, None)
-        self._spec_shadow.pop(primary.uid, None)
-        self.resilience.on_task_stop(primary)
-
-        worker.current = None
-        worker._end_event = None
-        worker.busy_time += measured
-        worker.tasks_run += 1
-
-        # cancel the straggling original — unless it already left its
-        # worker (faulted away, or the worker died) and was parked
-        loser: Optional[Worker] = None
-        w1 = (
-            self._workers_by_name.get(primary.chosen_worker)
-            if primary.chosen_worker
-            else None
-        )
-        if w1 is not None and w1.current is primary:
-            assert primary.chosen_version is not None
-            loser = w1
-            w1.current = None
-            if w1._end_event is not None:
-                w1._end_event.cancel()
-                w1._end_event = None
-            w1.free_at = now
-            w1.busy_time += now - primary.start_time
-            self.trace.add(
-                primary.start_time, now, w1.name, "spec-abort",
-                primary.chosen_version.name,
-                meta=(self._local_ids[primary.uid],),
-            )
-            if primary.uid in self._pinned:
-                self._pinned.discard(primary.uid)
-                for region in primary.regions():
-                    self.cache.unpin(w1.space, region)
-            self.scheduler.task_requeued(primary, w1)
-
-        shadow.state = TaskState.FINISHED
-        shadow.end_time = now
-        if self.config.execute_bodies:
-            if self.recorder is not None:
-                self.recorder.run_task(shadow)
-            else:
-                shadow.execute_body()
-        self.trace.add(
-            shadow.start_time,
-            now,
-            worker.name,
-            "task",
-            shadow.chosen_version.name,
-            meta=(self._local_ids[shadow.uid],),
-        )
-        space = worker.space
-        for region in shadow.writes():
-            self.directory.note_write(region, space)
-            self.cache.invalidate_stale_everywhere(region, space)
-            self._write_log.setdefault(region.rid, []).append(primary.uid)
-            self._recovering.pop(region.rid, None)
-        if shadow.uid in self._pinned:
-            self._pinned.discard(shadow.uid)
-            for region in shadow.regions():
-                self.cache.unpin(space, region)
-
-        # the original retires under the winning pair so dependence-
-        # order analyses and traces agree on where the task really ran
-        primary.chosen_version = shadow.chosen_version
-        primary.chosen_worker = worker.name
-        primary.start_time = shadow.start_time
-        primary.end_time = now
-        primary.state = TaskState.FINISHED
-        counts = self.version_counts.setdefault(shadow.name, {})
-        counts[shadow.chosen_version.name] = counts.get(shadow.chosen_version.name, 0) + 1
-        self._finish_order.append(primary.uid)
-        self._tasks_completed += 1
-
-        self.resilience.on_task_success(worker)
-        self.resilience.on_speculation_won(primary, loser)
-        self.scheduler.task_finished(shadow, worker, measured)
-        for succ in self.graph.task_finished(primary):
-            self._mark_ready(succ)
-        self._try_start(worker)
-        if loser is not None and loser.alive:
-            self._try_start(loser)
 
     def _drain_worker(self, worker: Worker) -> int:
         """Hand every queued task of ``worker`` back to the scheduler.
@@ -1176,17 +1066,7 @@ class OmpSsRuntime:
         redispatched = 0
         running = worker.current
         if running is not None:
-            assert running.chosen_version is not None
-            worker.current = None
-            if worker._end_event is not None:
-                worker._end_event.cancel()
-                worker._end_event = None
-            worker.busy_time += now - running.start_time
-            self.trace.add(
-                running.start_time, now, worker.name, "aborted",
-                running.chosen_version.name,
-                meta=(self._local_ids[running.uid],),
-            )
+            self._stop(running, worker, "aborted")
             self._requeue(running, worker)
             redispatched += 1
         redispatched += self._drain_worker(worker)
@@ -1252,7 +1132,6 @@ class OmpSsRuntime:
         for w in self.workers:
             if layout.node_of_space.get(w.space) == node and not w.alive:
                 w.alive = True
-                w.free_at = now
                 w.quarantined_until = None
                 w.current = None
                 w._end_event = None

@@ -15,7 +15,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.runtime.task import TaskInstance
-from repro.sim.devices import Device, DeviceStats
+from repro.sim.devices import Device
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Event
@@ -29,7 +29,6 @@ class Worker:
         self.name = f"w:{device.name}"
         self.queue: Deque[TaskInstance] = deque()
         self.current: Optional[TaskInstance] = None
-        self.free_at: float = 0.0       # when the running task ends
         self.busy_time: float = 0.0
         self.tasks_run: int = 0
         #: False once the worker failed permanently (a dead worker never
@@ -50,10 +49,6 @@ class Worker:
     def space(self) -> str:
         """The memory space this worker computes from."""
         return self.device.memory_space
-
-    @property
-    def is_idle(self) -> bool:
-        return self.current is None
 
     def available(self, now: float) -> bool:
         """Whether the worker may accept dispatches at simulated ``now``."""
@@ -86,20 +81,6 @@ class Worker:
 
     def pop(self) -> TaskInstance:
         return self.queue.popleft()
-
-    def queued_tasks(self) -> list[TaskInstance]:
-        """Snapshot of the queue contents (running task excluded)."""
-        return list(self.queue)
-
-    # ------------------------------------------------------------------
-    def stats(self, total_time: float) -> DeviceStats:
-        idle = max(total_time - self.busy_time, 0.0)
-        return DeviceStats(
-            device=self.device.name,
-            tasks_run=self.tasks_run,
-            busy_time=self.busy_time,
-            idle_time=idle,
-        )
 
     def __repr__(self) -> str:
         running = self.current.label if self.current else "-"

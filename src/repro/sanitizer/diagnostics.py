@@ -65,7 +65,7 @@ CODES: dict[str, str] = {
                 "edits records); schedulers may only append via "
                 "trace.add — the trace is the sanitizer's evidence",
     "SAN-S011": "scheduler pokes worker runtime state directly (alive, "
-                "queue, current, free_at, ...); state changes must go "
+                "queue, current, busy_time, ...); state changes must go "
                 "through the runtime",
     "SAN-S012": "a task_ready code path neither dispatches, pools nor "
                 "delegates the ready task: the task would be silently "

@@ -10,9 +10,9 @@ static form of a bug class this repo has actually hit:
   history that the SAN-T invariant checks and the analysis layer rely
   on.
 * **SAN-S011** — *never poke worker state.*  ``alive``, ``queue``,
-  ``current``, ``free_at``, ``busy_time``, ``tasks_run``,
-  ``quarantined_until`` are owned by the runtime's dispatch/finish
-  paths; a scheduler writing them desynchronises the event loop.
+  ``current``, ``busy_time``, ``tasks_run``, ``quarantined_until``
+  are owned by the runtime's dispatch/finish paths; a scheduler
+  writing them desynchronises the event loop.
   Schedulers observe workers and call ``rt.dispatch``.
 * **SAN-S012** — *every ``task_ready`` path must hand the task off.*  A
   ready task the scheduler neither dispatches, pools, buffers, nor
@@ -42,7 +42,7 @@ from repro.sanitizer.diagnostics import Diagnostic
 
 #: worker attributes owned by the runtime's dispatch/finish machinery
 _WORKER_ATTRS = frozenset({
-    "alive", "queue", "current", "free_at", "busy_time", "tasks_run",
+    "alive", "queue", "current", "busy_time", "tasks_run",
     "quarantined_until",
 })
 

@@ -13,7 +13,6 @@ In OmpSs, each worker thread is devoted to one device; the runtime layer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -135,18 +134,3 @@ class GPUDevice(Device):
         super().__init__(name, DeviceKind.CUDA, memory_space or name, perf)
         self.memory_bytes = memory_bytes
         self.dma_channels = dma_channels
-
-
-@dataclass(frozen=True)
-class DeviceStats:
-    """Aggregate per-device accounting produced at the end of a run."""
-
-    device: str
-    tasks_run: int
-    busy_time: float
-    idle_time: float
-
-    @property
-    def utilisation(self) -> float:
-        total = self.busy_time + self.idle_time
-        return self.busy_time / total if total > 0 else 0.0

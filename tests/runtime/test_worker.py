@@ -1,7 +1,5 @@
 """Tests for the worker abstraction."""
 
-import pytest
-
 from repro.runtime.task import TaskDefinition, TaskInstance, TaskVersion
 from repro.runtime.worker import Worker
 from repro.sim.devices import DeviceKind, GPUDevice, SMPDevice
@@ -40,33 +38,3 @@ class TestWorker:
         assert w.load() == 1
         w.enqueue(make_task())
         assert w.load() == 2
-
-    def test_is_idle(self):
-        w = Worker(SMPDevice("smp0"))
-        assert w.is_idle
-        w.current = make_task()
-        assert not w.is_idle
-
-    def test_queued_tasks_snapshot(self):
-        w = Worker(SMPDevice("smp0"))
-        t = make_task()
-        w.enqueue(t)
-        snap = w.queued_tasks()
-        assert snap == [t]
-        snap.clear()
-        assert w.peek() is t  # snapshot is a copy
-
-    def test_stats(self):
-        w = Worker(SMPDevice("smp0"))
-        w.busy_time = 3.0
-        w.tasks_run = 7
-        s = w.stats(total_time=4.0)
-        assert s.tasks_run == 7
-        assert s.busy_time == 3.0
-        assert s.idle_time == pytest.approx(1.0)
-        assert s.utilisation == pytest.approx(0.75)
-
-    def test_stats_idle_clamped(self):
-        w = Worker(SMPDevice("smp0"))
-        w.busy_time = 5.0
-        assert w.stats(total_time=4.0).idle_time == 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.devices import Device, DeviceKind, DeviceStats, GPUDevice, SMPDevice
+from repro.sim.devices import Device, DeviceKind, GPUDevice, SMPDevice
 from repro.sim.perfmodel import FixedCostModel, PerfModel
 
 
@@ -59,16 +59,6 @@ class TestGPUDevice:
     def test_explicit_space(self):
         d = GPUDevice("gpu0", memory_space="devmem")
         assert d.memory_space == "devmem"
-
-
-class TestDeviceStats:
-    def test_utilisation(self):
-        s = DeviceStats("gpu0", tasks_run=10, busy_time=3.0, idle_time=1.0)
-        assert s.utilisation == pytest.approx(0.75)
-
-    def test_utilisation_zero_when_no_time(self):
-        s = DeviceStats("gpu0", 0, 0.0, 0.0)
-        assert s.utilisation == 0.0
 
 
 class TestDeviceBase:
