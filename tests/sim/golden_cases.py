@@ -113,7 +113,8 @@ def _fault_plan(name: Optional[str]):
     if name == "stragglers":
         # a slowed GPU + two hangs under an aggressive deadline: copies
         # are cancelled when the original wins, copies win, and one
-        # straggler with no alternate pair is aborted and retried
+        # straggler that cannot be speculated is aborted and retried
+        # (the plan has no task faults, so that abort is its only retry)
         return FaultPlan(
             seed=3,
             slowdowns=(WorkerSlowdown("gpu0", 0.0001, 2.0),),
