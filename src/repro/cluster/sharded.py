@@ -326,21 +326,9 @@ class ShardedClusterScheduler(Scheduler):
         host = self.layout.host_of_node[node]
         rt = self.rt
         directory = rt.directory
-        node_of_space = self.layout.node_of_space
         stats = self.stats
-        seen: set = set()
-        for acc in t.accesses:
-            region = acc.region
-            rid = region.rid
-            if not acc.reads or rid in seen:
-                continue
-            seen.add(rid)
-            local = False
-            for s in directory.valid_view(region):
-                if node_of_space.get(s) == node:
-                    local = True
-                    break
-            if local:
+        for region in t.reads():
+            if directory.valid_on_node(region, node):
                 continue
             _, issued = rt.push_region(region, host)
             if issued:

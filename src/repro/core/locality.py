@@ -36,13 +36,8 @@ class LocalityVersioningScheduler(VersioningScheduler):
         assert self.rt is not None
         space = worker.space
         penalty = 0.0
-        seen: set = set()
-        for acc in t.accesses:
-            if not acc.reads or acc.region.key in seen:
-                continue
-            seen.add(acc.region.key)
-            region = acc.region
-            directory = self.rt.directory
+        directory = self.rt.directory
+        for region in t.reads():
             if directory.is_valid(region, space):
                 continue
             src = directory.choose_source(region, space)

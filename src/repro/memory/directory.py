@@ -1,8 +1,10 @@
 """Coherence directory.
 
 The runtime replicates data regions across memory spaces; the directory
-records, per region, which spaces hold a *valid* copy and whether the
-authoritative (dirty) copy lives away from the region's home space.
+owns that copy state.  Per region it records which spaces hold a *valid*
+copy, whether the authoritative (dirty) copy lives away from the
+region's home space, when the copies in flight to other spaces land, and
+when a region that lost every copy to a node crash is recomputed.
 
 Protocol (write-invalidate, matching the Nanos++ software cache):
 
@@ -16,15 +18,17 @@ Protocol (write-invalidate, matching the Nanos++ software cache):
 
 Invariants (property-tested):
 
-* every registered region is valid somewhere at all times,
+* every registered region is valid somewhere at all times, unless it is
+  under crash recovery,
 * a dirty region's owner space is always in the valid set,
 * immediately after a write, exactly one space is valid.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.runtime.dataregion import DataRegion
@@ -48,9 +52,12 @@ class _Entry:
     region: DataRegion
     valid: set[str]
     dirty_owner: Optional[str]  # space holding the sole authoritative copy
-    #: every copy died with a crashed node; a recomputation is underway
-    #: (the empty-valid invariant is suspended until it lands)
-    recovering: bool = False
+    #: space -> landing time of the copy on the wire toward it
+    inflight: dict[str, float] = field(default_factory=dict)
+    #: landing time of the crash recomputation (None unless every copy
+    #: died with a crashed node); the empty-valid invariant is suspended
+    #: until it lands
+    recover_at: Optional[float] = None
 
 
 class Directory:
@@ -92,9 +99,12 @@ class Directory:
 
         New regions are valid in the home space only.
         """
-        self._entry(region)
+        self.entry(region)
 
-    def _entry(self, region: DataRegion) -> _Entry:
+    def entry(self, region: DataRegion) -> _Entry:
+        """The live copy state of ``region`` (registering it) — read-only
+        by contract: the staging path fetches it once per staged region
+        instead of calling one accessor per field."""
         entry = self._entries.get(region.rid)
         if entry is None:
             entry = self._entries[region.rid] = _Entry(
@@ -103,19 +113,23 @@ class Directory:
         return entry
 
     def valid_spaces(self, region: DataRegion) -> set[str]:
-        return set(self._entry(region).valid)
+        return set(self.entry(region).valid)
 
-    def valid_view(self, region: DataRegion) -> "set[str]":
-        """The live valid-space set — read-only by contract; callers
-        that only iterate avoid the defensive copy of
-        :meth:`valid_spaces` (the cluster staging scan is per-access)."""
-        return self._entry(region).valid
+    def valid_on_node(self, region: DataRegion, node: int) -> bool:
+        """Whether a space of cluster ``node`` holds a valid copy
+        (requires :meth:`set_topology`)."""
+        node_of_space = self._node_of_space
+        assert node_of_space is not None, "valid_on_node needs set_topology"
+        for s in self.entry(region).valid:
+            if node_of_space.get(s) == node:
+                return True
+        return False
 
     def is_valid(self, region: DataRegion, space: str) -> bool:
-        return space in self._entry(region).valid
+        return space in self.entry(region).valid
 
     def dirty_owner(self, region: DataRegion) -> Optional[str]:
-        return self._entry(region).dirty_owner
+        return self.entry(region).dirty_owner
 
     # ------------------------------------------------------------------
     # Protocol actions
@@ -134,7 +148,7 @@ class Directory:
         spread deterministically across holders so concurrent consumers
         don't all hammer one NIC — then the node-oblivious fallback.
         """
-        entry = self._entry(region)
+        entry = self.entry(region)
         if dst in entry.valid:
             raise ValueError(f"{region.label!r} is already valid in {dst!r}")
         if not entry.valid:
@@ -160,20 +174,26 @@ class Directory:
 
     def reads_needed(self, region: DataRegion, space: str) -> Optional[TransferRequest]:
         """Transfer needed (if any) so ``space`` can read ``region``."""
-        if space in self._entry(region).valid:
+        if space in self.entry(region).valid:
             return None
         return TransferRequest(region, self.choose_source(region, space), space)
 
+    def note_in_flight(self, region: DataRegion, space: str, lands: float) -> None:
+        """A copy of ``region`` toward ``space`` is on the wire until ``lands``."""
+        self.entry(region).inflight[space] = lands
+
     def mark_valid(self, region: DataRegion, space: str) -> None:
-        """Record a completed copy into ``space`` (does not change dirtiness)."""
-        self._entry(region).valid.add(space)
+        """A copy into ``space`` landed (dirtiness is unchanged)."""
+        entry = self.entry(region)
+        entry.valid.add(space)
+        entry.inflight.pop(space, None)
 
     def note_write(self, region: DataRegion, space: str) -> None:
         """A task on ``space`` wrote ``region``: invalidate all other copies."""
-        entry = self._entry(region)
+        entry = self.entry(region)
         entry.valid = {space}
         entry.dirty_owner = space if space != self.home_space else None
-        entry.recovering = False  # a fresh write supersedes any recovery
+        entry.recover_at = None  # a fresh write supersedes any recovery
 
     def drop_copy(self, region: DataRegion, space: str) -> None:
         """Evict the copy held by ``space`` (cache eviction of clean data).
@@ -181,7 +201,7 @@ class Directory:
         Dropping the last valid copy — or the dirty owner's copy — is a
         protocol violation: the caller must write back first.
         """
-        entry = self._entry(region)
+        entry = self.entry(region)
         if space not in entry.valid:
             raise ValueError(f"{region.label!r} holds no copy in {space!r}")
         if entry.dirty_owner == space:
@@ -195,14 +215,14 @@ class Directory:
 
     def writeback_request(self, region: DataRegion) -> Optional[TransferRequest]:
         """Transfer that would clean the region (dirty owner -> home)."""
-        entry = self._entry(region)
+        entry = self.entry(region)
         if entry.dirty_owner is None:
             return None
         return TransferRequest(region, entry.dirty_owner, self.home_space)
 
     def note_writeback_done(self, region: DataRegion) -> None:
         """The dirty copy has been copied home; region is now clean."""
-        entry = self._entry(region)
+        entry = self.entry(region)
         if entry.dirty_owner is None:
             raise ValueError(f"{region.label!r} is not dirty")
         entry.valid.add(self.home_space)
@@ -223,19 +243,22 @@ class Directory:
     def invalidate_spaces(self, spaces: "set[str]") -> list[DataRegion]:
         """Every copy held by ``spaces`` is gone (the node crashed).
 
-        Removes the dead spaces from all valid sets.  A dirty owner that
-        died is repaired: if the home space survives among the valid
-        copies the region is simply clean again, otherwise a surviving
-        valid space is promoted to owner.  Regions left with *no* valid
-        copy are flagged ``recovering`` and returned — the runtime
-        schedules their recomputation; until :meth:`note_recovered` (or
-        a superseding write) lands, :meth:`check_invariants` tolerates
-        their empty valid set.
+        Removes the dead spaces from all valid sets and drops the copies
+        in flight toward them.  A dirty owner that died is repaired: if
+        the home space survives among the valid copies the region is
+        simply clean again, otherwise a surviving valid space is
+        promoted to owner.  Regions left with *no* valid copy are
+        returned, under recovery until :meth:`note_recomputing` gives
+        the landing time; until :meth:`note_recovered` (or a superseding
+        write), :meth:`check_invariants` tolerates their empty valid set.
 
         Deterministic: regions are visited in sorted key order.
         """
         lost: list[DataRegion] = []
         for entry in sorted(self._entries.values(), key=lambda e: repr(e.region.key)):
+            inflight = entry.inflight
+            for s in [s for s in inflight if s in spaces]:
+                del inflight[s]
             if not (entry.valid & spaces) and entry.dirty_owner not in spaces:
                 continue
             entry.valid -= spaces
@@ -244,22 +267,26 @@ class Directory:
                 if entry.valid and self.home_space not in entry.valid:
                     entry.dirty_owner = min(entry.valid)
             if not entry.valid:
-                entry.recovering = True
+                entry.recover_at = math.inf
                 lost.append(entry.region)
         return lost
 
+    def note_recomputing(self, region: DataRegion, lands: float) -> None:
+        """The recomputation of the lost ``region`` lands at ``lands``."""
+        self.entry(region).recover_at = lands
+
     def note_recovered(self, region: DataRegion, space: str) -> None:
         """A lost region's recomputation materialised a copy in ``space``."""
-        entry = self._entry(region)
+        entry = self.entry(region)
         entry.valid.add(space)
         entry.dirty_owner = space if space != self.home_space else None
-        entry.recovering = False
+        entry.recover_at = None
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Raise :class:`AssertionError` on any violated protocol invariant."""
         for entry in self._entries.values():
-            if not entry.valid and not entry.recovering:
+            if not entry.valid and entry.recover_at is None:
                 raise AssertionError(f"{entry.region.label!r} is valid nowhere")
             if entry.dirty_owner is not None and entry.dirty_owner not in entry.valid:
                 raise AssertionError(

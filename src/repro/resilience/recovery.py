@@ -235,8 +235,6 @@ class ResilienceManager:
         # scheduler's fault-aware cost estimation (`fault_aware=True`)
         self._worker_faults: dict[str, int] = {}
         self._worker_completions: dict[str, int] = {}
-        # primary uid -> shadow uid of the speculation currently in flight
-        self._active_spec: dict[int, int] = {}
         # primary uid -> speculative copies launched for it (lifetime)
         self._spec_count: dict[int, int] = {}
 
@@ -454,7 +452,7 @@ class ResilienceManager:
         pair = self._choose_speculation_pair(t, worker)
         if (
             pair is not None
-            and len(self._active_spec) < self.policy.max_concurrent_speculations
+            and len(rt._spec_shadow) < self.policy.max_concurrent_speculations
             and self._spec_count.get(t.uid, 0) < self.policy.max_speculations_per_task
         ):
             version, target = pair
@@ -464,8 +462,7 @@ class ResilienceManager:
                 now, now, target.name, "speculate", version.name,
                 meta=(rt._local_ids[t.uid],),
             )
-            shadow = rt._launch_speculation(t, target, version)
-            self._active_spec[t.uid] = shadow.uid
+            rt._launch_speculation(t, target, version)
             return
         rt._abort_straggler(t, worker)
 
@@ -514,7 +511,6 @@ class ResilienceManager:
         worker that keeps losing races to its peers is degraded, whether
         or not it ever faults outright.
         """
-        self._active_spec.pop(primary.uid, None)
         self.stats.speculations_won += 1
         if loser is not None:
             self._strike(loser)
@@ -522,7 +518,6 @@ class ResilienceManager:
     def on_speculation_wasted(self, primary: "TaskInstance") -> None:
         """The speculative copy was withdrawn (original finished first,
         the copy faulted, or its worker was lost)."""
-        self._active_spec.pop(primary.uid, None)
         self.stats.speculations_wasted += 1
 
     # ------------------------------------------------------------------

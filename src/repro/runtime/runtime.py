@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Collection, Mapping, Optional, Union
 
 from repro.memory.cache import CacheManager, CacheStats
 from repro.memory.directory import Directory, TransferRequest
@@ -277,8 +277,10 @@ class OmpSsRuntime:
         #: node-aware schedulers (typically during their ``bind``); None
         #: for ordinary single-node runs
         self.node_topology = None
-        self._sorted_hosts: list[str] = []
-        self._host_set: set[str] = set()
+        # chain sources of the staging path (see _stage): any node host
+        # for a push, its node's host for a read into a device space
+        self._host_set: frozenset[str] = frozenset()
+        self._host_of_device: dict[str, tuple[str, ...]] = {}
         if isinstance(scheduler, str):
             self.scheduler = create_scheduler(scheduler, **dict(scheduler_options or {}))
         else:
@@ -291,20 +293,6 @@ class OmpSsRuntime:
         self._finish_order: list[int] = []
         self._tasks_completed = 0
         self._tasks_submitted = 0
-        # region rid -> {space -> completion time} of in-flight copies.
-        # Nested rather than keyed by (rid, space): the cluster push
-        # path scans every node host per pushed region, and one lookup
-        # of the (usually tiny) per-region map replaces a tuple
-        # allocation + dict probe per host
-        self._inflight: dict[int, dict[str, float]] = {}
-        # region rid -> uids of every task that wrote it, in finish
-        # order: the recomputation lineage replayed when a node crash
-        # destroys the only valid copies
-        self._write_log: dict[int, list[int]] = {}
-        # region rid -> simulated time its crash-recovery recomputation
-        # completes; reads of these regions wait instead of sourcing a
-        # copy (there is none anywhere)
-        self._recovering: dict[int, float] = {}
         # task uid -> time its input transfers complete (prepared tasks)
         self._xfer_ready: dict[int, float] = {}
         # task uids whose regions are currently pinned in a space
@@ -317,10 +305,9 @@ class OmpSsRuntime:
         # results stay byte-identical no matter how many runtimes the
         # process ran before
         self._uid_alloc = itertools.count(1)
-        # speculation bookkeeping: primary uid -> shadow instance and the
-        # reverse (shadow uid -> primary instance)
+        # speculation bookkeeping: original uid -> its live speculative
+        # copy (a copy finds its original through ``speculative_of``)
         self._spec_shadow: dict[int, TaskInstance] = {}
-        self._spec_primary: dict[int, TaskInstance] = {}
         self.progress_watchdog = None
         if self.config.progress_horizon is not None:
             from repro.resilience.watchdog import ProgressWatchdog
@@ -500,10 +487,12 @@ class OmpSsRuntime:
         may chain off in-flight staging copies toward a node's host.
         """
         self.node_topology = layout
-        host_spaces = set(layout.host_of_node.values())
-        # sorted once: push_region scans the host list per pushed region
-        self._sorted_hosts = sorted(host_spaces)
-        self._host_set = set(host_spaces)
+        self._host_set = host_spaces = frozenset(layout.host_of_node.values())
+        self._host_of_device = {
+            s: (h,)
+            for s in layout.node_of_space
+            if (h := layout.host_of_space(s)) is not None and h != s
+        }
         self.directory.set_topology(layout.node_of_space, host_spaces)
 
     def push_region(self, region: DataRegion, space: str) -> tuple[float, bool]:
@@ -514,48 +503,17 @@ class OmpSsRuntime:
         ``(ready_time, issued)`` — ``issued`` is False when the space
         already holds (or is already receiving) a valid copy.
         """
-        now = self.engine.now
-        if self.directory.is_valid(region, space):
-            return now, False
-        rec = self._recovering.get(region.rid)
-        if rec is not None:
+        ready, issued = self._stage(region, space, self._host_set)
+        if issued is None:
             # every copy died with a crashed node; retry the push once
             # the recomputation has restored the home copy
             self.engine.schedule(
-                max(rec, now),
+                ready,
                 lambda: self.push_region(region, space),
                 kind=EventKind.RETRY,
                 label=f"push {region.label} after recovery",
             )
-            return max(rec, now), False
-        by_space = self._inflight.get(region.rid)
-        if by_space is not None:
-            inflight = by_space.get(space)
-            if inflight is not None and inflight > now + _EPS:
-                return inflight, False
-        if self.node_topology is not None and by_space:
-            # cooperative multicast: if the region is already on the wire
-            # toward another node's host, chain this hop off that copy —
-            # the broadcast pipelines across per-node NICs instead of
-            # serialising every replica on the origin host's NIC.
-            # Scanning the (tiny) in-flight map instead of every node
-            # host, min over (time, host) replicates the sorted-host
-            # scan's tie-break exactly
-            best: Optional[tuple[float, str]] = None
-            host_set = self._host_set
-            threshold = now + _EPS
-            for h, staged in by_space.items():
-                if h == space or h not in host_set or staged <= threshold:
-                    continue
-                cand = (staged, h)
-                if best is None or cand < best:
-                    best = cand
-            if best is not None:
-                return self._copy(TransferRequest(region, best[1], space), best[0]), True
-        req = self.directory.reads_needed(region, space)
-        if req is None:  # pragma: no cover - raced with completion
-            return now, False
-        return self._copy(req), True
+        return ready, issued or False
 
     def missing_read_bytes(self, t: TaskInstance, space: str) -> int:
         """Bytes that would have to move for ``t``'s reads on ``space``.
@@ -565,7 +523,7 @@ class OmpSsRuntime:
         copies (the policy sees directory state, like Nanos++'s).
         """
         total = 0
-        for region in {a.region.rid: a.region for a in t.accesses if a.reads}.values():
+        for region in t.reads():
             if not self.directory.is_valid(region, space):
                 total += region.nbytes
         return total
@@ -610,60 +568,23 @@ class OmpSsRuntime:
             self._xfer_ready[t.uid] = self._issue_read_transfers(t, space)
 
     def _issue_read_transfers(self, t: TaskInstance, space: str) -> float:
-        """Start copies for every read region not valid in ``space``.
+        """Stage every read region of ``t`` into ``space``.
 
         Returns the simulated time at which all inputs are valid there.
-        Copies already in flight toward ``space`` are reused, never
-        duplicated.
         """
-        now = self.engine.now
-        threshold = now + _EPS
-        ready = now
-        directory = self.directory
-        inflight = self._inflight
-        seen: set = set()
-        for acc in t.accesses:
-            region = acc.region
-            rid = region.rid
-            if not acc.reads or rid in seen:
-                continue
-            seen.add(rid)
-            if directory.is_valid(region, space):
-                continue
-            rec = self._recovering.get(rid)
-            if rec is not None:
+        ready = self.engine.now
+        sources = self._host_of_device.get(space, ())
+        for region in t.reads():
+            done, issued = self._stage(region, space, sources)
+            if issued is None:
                 # no copy exists anywhere until the crash recovery
-                # lands; re-issue this task's transfers at that point
-                ready = max(ready, rec)
+                # lands; re-stage this task's inputs at that point
                 self.engine.schedule(
-                    max(rec, now),
+                    done,
                     lambda tt=t, sp=space: self._reissue_after_recovery(tt, sp),
                     kind=EventKind.RETRY,
                     label=f"reissue {t.name} after recovery",
                 )
-                continue
-            by_space = inflight.get(rid)
-            pending = by_space.get(space) if by_space is not None else None
-            if pending is not None and pending > threshold:
-                if pending > ready:
-                    ready = pending
-                continue
-            # cluster staging: a copy toward this worker's node host is
-            # already in flight — chain the final intra-node hop off it
-            # instead of pulling across the network a second time
-            if self.node_topology is not None:
-                host = self.node_topology.host_of_space(space)
-                if host is not None and host != space:
-                    staged = by_space.get(host) if by_space is not None else None
-                    if staged is not None and staged > threshold:
-                        done = self._copy(TransferRequest(region, host, space), staged)
-                        if done > ready:
-                            ready = done
-                        continue
-            req = directory.reads_needed(region, space)
-            if req is None:  # pragma: no cover - raced with completion
-                continue
-            done = self._copy(req)
             if done > ready:
                 ready = done
         return ready
@@ -679,29 +600,73 @@ class OmpSsRuntime:
         if w is not None:
             self._try_start(w)
 
+    def _stage(
+        self, region: DataRegion, space: str, sources: "Collection[str]"
+    ) -> tuple[float, Optional[bool]]:
+        """Start making ``region`` valid in ``space``: the one staging path.
+
+        Returns ``(ready, issued)``: when ``space`` holds a valid copy,
+        and whether this call issued a copy.  ``issued`` is None while
+        the region is under crash recovery (no copy exists anywhere):
+        ``ready`` is then when the recomputation lands, and the caller
+        retries at that time.  Otherwise a copy already in flight toward
+        ``space`` is reused; failing that, the copy chains off the
+        earliest copy in flight toward one of ``sources``; failing that,
+        the directory picks the source.  Chaining lets a push pipeline a
+        broadcast across per-node NICs instead of serialising every
+        replica on the origin's NIC, and a read's final intra-node hop
+        reuse a staging copy instead of crossing the network again.
+        """
+        now = self.engine.now
+        entry = self.directory.entry(region)
+        if space in entry.valid:
+            return now, False
+        lands = entry.recover_at
+        if lands is not None:
+            return max(lands, now), None
+        threshold = now + _EPS
+        inflight = entry.inflight
+        pending = inflight.get(space)
+        if pending is not None and pending > threshold:
+            return pending, False
+        if sources and inflight:
+            # min over (time, space) breaks ties by name; ``space``
+            # itself fails the threshold (its copy, if any, has landed)
+            best: Optional[tuple[float, str]] = None
+            for src, staged in inflight.items():
+                if staged > threshold and src in sources:
+                    if best is None or (staged, src) < best:
+                        best = (staged, src)
+            if best is not None:
+                return self._copy(TransferRequest(region, best[1], space), best[0]), True
+        req = self.directory.reads_needed(region, space)
+        assert req is not None  # ``space`` was checked invalid above
+        return self._copy(req), True
+
     def _copy(self, req: TransferRequest, earliest: Optional[float] = None) -> float:
-        """Issue one copy and track it as in flight until it lands.
+        """Issue one copy and record it in the directory as in flight.
 
         Returns the copy's completion time; on completion the directory
         marks the destination valid, unless its node died meanwhile.
         """
         region = req.region
         dst = req.dst
+        directory = self.directory
 
         def _done() -> None:
-            if dst in self.transfer_engine.down_spaces:
-                return  # the destination's node died while on the wire
-            self.directory.mark_valid(region, dst)
-            by_space = self._inflight.get(region.rid)
-            if by_space is not None:
-                by_space.pop(dst, None)
+            if dst not in self.transfer_engine.down_spaces:
+                directory.mark_valid(region, dst)
 
         done = self.transfer_engine.issue(req, earliest=earliest, on_complete=_done)
-        by_space = self._inflight.get(region.rid)
-        if by_space is None:
-            by_space = self._inflight[region.rid] = {}
-        by_space[dst] = done
+        directory.note_in_flight(region, dst, done)
         return done
+
+    def _original_of(self, t: TaskInstance) -> Optional[TaskInstance]:
+        """The original of ``t`` if ``t`` is its live speculative copy."""
+        orig = t.speculative_of
+        if orig is None or self._spec_shadow.get(orig) is not t:
+            return None
+        return self.graph.task(orig)
 
     def _worker_of(self, t: TaskInstance) -> Optional[Worker]:
         """The worker ``t`` was last dispatched to (None if never)."""
@@ -814,7 +779,7 @@ class OmpSsRuntime:
         """
         now = self.engine.now
         measured = now - t.start_time
-        primary = self._spec_primary.pop(t.uid, None)
+        primary = self._original_of(t)
         record = t if primary is None else primary
         self.resilience.on_task_stop(record)
         loser: Optional[Worker] = None
@@ -864,8 +829,6 @@ class OmpSsRuntime:
             region = acc.region
             directory.note_write(region, space)
             cache.invalidate_stale_everywhere(region, space)
-            self._write_log.setdefault(region.rid, []).append(record.uid)
-            self._recovering.pop(region.rid, None)  # overwrite supersedes
         self._unpin(t, space)
         if primary is not None:
             # the original retires under the winning pair so dependence-
@@ -907,26 +870,22 @@ class OmpSsRuntime:
         """
         self.resilience.on_task_stop(t)
         self._stop(t, worker, "fault", t.attempts + 1)
-        if t.uid in self._spec_primary:
-            # a speculative copy faulted: charge the worker's streak and
-            # withdraw the copy — the original is still in flight
-            self.resilience.on_task_fault(t, worker, will_retry=False)
-            self._cancel_speculation(t)
-            return
         # burns retry budget, records the failed pair, may quarantine the
         # worker (draining its queue); raises TaskRetryExceededError when
-        # the budget is gone.  A primary with a live speculative copy
-        # does not retry (the copy carries the task), so its budget is
-        # spared too.
+        # the budget is gone.  Neither a speculative copy (the requeue
+        # withdraws it: the original is still in flight) nor a primary
+        # with a live copy (the copy carries the task) retries, so their
+        # budget is spared; the worker's streak is charged either way.
         self.resilience.on_task_fault(
-            t, worker, will_retry=t.uid not in self._spec_shadow
+            t, worker,
+            will_retry=t.speculative_of is None and t.uid not in self._spec_shadow,
         )
         self._requeue(t, worker)
         self._try_start(worker)
 
     def _requeue(self, t: TaskInstance, worker: Worker) -> None:
         """Pull a dispatched-but-unfinished task back to the ready pool."""
-        if t.uid in self._spec_primary:
+        if self._original_of(t) is not None:
             # a speculative copy never re-enters the pool: losing its
             # worker (death, quarantine drain) just cancels the race
             self._cancel_speculation(t)
@@ -954,7 +913,7 @@ class OmpSsRuntime:
     # ------------------------------------------------------------------
     def _launch_speculation(
         self, t: TaskInstance, worker: Worker, version: TaskVersion
-    ) -> TaskInstance:
+    ) -> None:
         """Duplicate a straggling running task on an alternate pair.
 
         The copy is a real :class:`TaskInstance` sharing the original's
@@ -984,10 +943,8 @@ class OmpSsRuntime:
         # trace records of the copy carry the original's run-local id
         self._local_ids[shadow.uid] = self._local_ids[t.uid]
         self._spec_shadow[t.uid] = shadow
-        self._spec_primary[shadow.uid] = t
         self.scheduler.task_speculated(shadow, worker, version)
         self.dispatch(shadow, worker, version)
-        return shadow
 
     def _abort_straggler(self, t: TaskInstance, worker: Worker) -> None:
         """Cancel a straggling execution and retry it elsewhere.
@@ -1012,9 +969,9 @@ class OmpSsRuntime:
         while a copy still waiting in a queue burned no worker time and
         leaves only a non-busy ``spec-drop`` point record.
         """
-        primary = self._spec_primary.pop(shadow.uid, None)
-        if primary is not None:
-            self._spec_shadow.pop(primary.uid, None)
+        primary = self._original_of(shadow)
+        assert primary is not None  # only a live copy is withdrawn
+        del self._spec_shadow[primary.uid]
         w = self._worker_of(shadow)
         if w is not None:
             if w.current is shadow:
@@ -1031,8 +988,7 @@ class OmpSsRuntime:
             self._unpin(shadow, w.space)
             self.scheduler.task_requeued(shadow, w)
         shadow.state = TaskState.FINISHED  # retired, never re-dispatched
-        if primary is not None:
-            self.resilience.on_speculation_wasted(primary)
+        self.resilience.on_speculation_wasted(primary)
         if w is not None:
             self._try_start(w)
 
@@ -1079,14 +1035,14 @@ class OmpSsRuntime:
     def _node_down(self, node: int) -> None:
         """A whole node dies (NODE_DOWN event): workers, NIC and shard.
 
-        Order matters: the directory's lost regions are flagged (and
-        their recomputations scheduled) *before* the node's workers are
-        torn down, so the requeue-and-redispatch of their tasks finds
-        every lost region already guarded by ``_recovering`` and waits
-        instead of trying to source a copy that no longer exists.  The
-        scheduler's ``node_down`` hook runs before the worker deaths so
-        the shard map is repaired by the time requeued tasks re-enter
-        ``task_ready``.
+        Order matters: the directory's lost regions are put under
+        recovery (and their recomputations scheduled) *before* the
+        node's workers are torn down, so the requeue-and-redispatch of
+        their tasks finds every lost region's recovery time in the
+        directory and waits instead of trying to source a copy that no
+        longer exists.  The scheduler's ``node_down`` hook runs before
+        the worker deaths so the shard map is repaired by the time
+        requeued tasks re-enter ``task_ready``.
         """
         layout = self.node_topology
         if layout is None:
@@ -1099,14 +1055,19 @@ class OmpSsRuntime:
         self.trace.add(now, now, f"node:{host}", "node-down", f"node{node}")
         self.resilience.stats.node_crashes += 1
         self.transfer_engine.set_spaces_down(spaces)
-        # copies headed into the dead node will never be marked valid
-        for by_space in self._inflight.values():
-            for sp in [s for s in by_space if s in spaces]:
-                del by_space[sp]
         lost = self.directory.invalidate_spaces(spaces)
         self.resilience.stats.regions_lost += len(lost)
+        # each lost region's write lineage, in finish order: one entry
+        # per write access of every task that wrote it
+        lineage: dict[int, list[TaskInstance]] = {r.rid: [] for r in lost}
+        for uid in self._finish_order:
+            t = self.graph.task(uid)
+            for acc in t.accesses:
+                writers = lineage.get(acc.region.rid) if acc.writes else None
+                if writers is not None:
+                    writers.append(t)
         for region in lost:
-            self._schedule_recompute(region, node)
+            self._schedule_recompute(region, node, lineage[region.rid])
         node_down = getattr(self.scheduler, "node_down", None)
         if node_down is not None:
             node_down(node)
@@ -1146,21 +1107,22 @@ class OmpSsRuntime:
                 self.scheduler.worker_up(w)
         self.trace.add(now, now, f"node:{host}", "node-up", f"node{node}")
 
-    def _schedule_recompute(self, region: DataRegion, dead_node: int) -> None:
+    def _schedule_recompute(
+        self, region: DataRegion, dead_node: int, writers: list[TaskInstance]
+    ) -> None:
         """Schedule the recomputation of a region lost to a node crash.
 
-        The simulated cost is the region's write lineage replayed on the
-        best surviving worker — every task that ever wrote it, at its
-        nominal duration (accumulating writers must all be redone).  The
-        recomputed copy materialises in the home space at the returned
-        eta; readers queued meanwhile wait on ``_recovering``.
+        The simulated cost is the region's write lineage ``writers``
+        replayed on the best surviving worker — every task that ever
+        wrote it, at its nominal duration (accumulating writers must all
+        be redone).  The recomputed copy materialises in the home space
+        at the eta recorded in the directory; readers staged meanwhile
+        wait for it.
         """
         layout = self.node_topology
         now = self.engine.now
-        writers = self._write_log.get(region.rid, [])
         total = 0.0
-        for uid in writers:
-            t = self.graph.task(uid)
+        for t in writers:
             best: Optional[float] = None
             for w in self.workers:
                 if not w.alive:
@@ -1174,7 +1136,7 @@ class OmpSsRuntime:
                             best = d
             total += best if best is not None else 0.0
         eta = now + total
-        self._recovering[region.rid] = eta
+        self.directory.note_recomputing(region, eta)
         self.resilience.stats.recompute_tasks += max(1, len(writers))
         self.trace.add(
             now, eta, "recovery", "recompute", region.label,
@@ -1188,10 +1150,9 @@ class OmpSsRuntime:
         )
 
     def _recompute_done(self, region: DataRegion) -> None:
-        eta = self._recovering.get(region.rid)
+        eta = self.directory.entry(region).recover_at
         if eta is None or eta > self.engine.now + _EPS:
             return  # superseded by a fresh write (or rescheduled)
-        self._recovering.pop(region.rid, None)
         self.directory.note_recovered(region, HOST_SPACE)
 
     def _flush_to_host(self) -> None:

@@ -210,6 +210,7 @@ class TaskInstance:
         "end_time",
         "label",
         "_regions",
+        "_reads",
     )
 
     def __init__(
@@ -232,6 +233,7 @@ class TaskInstance:
         self.state = TaskState.CREATED
         self.data_bytes = unique_data_bytes(list(self.accesses))
         self._regions: Optional[list[DataRegion]] = None
+        self._reads: Optional[list[DataRegion]] = None
         #: OmpSs ``priority`` clause: higher values are scheduled first
         #: within ready pools and jump ahead of lower-priority queued
         #: tasks (they never preempt a running task).
@@ -265,7 +267,19 @@ class TaskInstance:
         return self.definition.name
 
     def reads(self) -> list[DataRegion]:
-        return [a.region for a in self.accesses if a.reads]
+        """Each distinct read region once, in access order (cached: the
+        staging path asks for it on every preparation)."""
+        cached = self._reads
+        if cached is None:
+            seen: set = set()
+            cached = []
+            for a in self.accesses:
+                rid = a.region.rid
+                if a.reads and rid not in seen:
+                    seen.add(rid)
+                    cached.append(a.region)
+            self._reads = cached
+        return cached
 
     def writes(self) -> list[DataRegion]:
         return [a.region for a in self.accesses if a.writes]

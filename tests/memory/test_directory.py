@@ -197,3 +197,69 @@ class TestInvariantsUnderRandomOps:
                     d.note_writeback_done(r)
                     assert d.is_valid(r, "host")
             d.check_invariants()
+
+
+class TestCopyState:
+    """The directory owns copies in flight and regions under recovery."""
+
+    def test_mark_valid_clears_inflight_for_its_own_space_only(self):
+        d = Directory()
+        r = reg()
+        d.note_in_flight(r, "gpu0", 1.0)
+        d.note_in_flight(r, "gpu1", 2.0)
+        d.mark_valid(r, "gpu0")
+        assert d.entry(r).inflight == {"gpu1": 2.0}
+        assert d.is_valid(r, "gpu0")
+
+    def test_invalidate_spaces_drops_inflight_and_returns_lost(self):
+        d = Directory()
+        kept, lost = reg("kept"), reg("lost")
+        d.mark_valid(kept, "gpu0")
+        d.note_in_flight(kept, "gpu1", 1.0)
+        d.note_in_flight(kept, "host2", 1.0)
+        d.note_write(lost, "gpu1")
+        assert d.invalidate_spaces({"gpu1", "gpu0"}) == [lost]
+        assert d.entry(kept).inflight == {"host2": 1.0}
+        assert d.valid_spaces(kept) == {"host"}
+        assert d.valid_spaces(lost) == set()
+        assert d.entry(lost).recover_at is not None
+        assert d.entry(kept).recover_at is None
+
+    def test_recovery_superseded_by_write_and_cleared_by_recovered(self):
+        d = Directory()
+        r = reg()
+        d.note_write(r, "gpu0")
+        d.invalidate_spaces({"gpu0"})
+        d.note_recomputing(r, 5.0)
+        assert d.entry(r).recover_at == 5.0
+        d.note_write(r, "gpu1")
+        assert d.entry(r).recover_at is None
+        d.invalidate_spaces({"gpu1"})
+        d.note_recomputing(r, 7.0)
+        d.note_recovered(r, "host")
+        assert d.entry(r).recover_at is None
+        assert d.valid_spaces(r) == {"host"}
+        d.check_invariants()
+
+    def test_check_invariants_tolerates_only_regions_under_recovery(self):
+        d = Directory()
+        r = reg()
+        d.note_write(r, "gpu0")
+        d.invalidate_spaces({"gpu0"})
+        d.check_invariants()  # valid nowhere, but under recovery
+        d.entry(r).recover_at = None
+        with pytest.raises(AssertionError, match="valid nowhere"):
+            d.check_invariants()
+
+    def test_valid_on_node(self):
+        d = Directory()
+        d.set_topology(
+            {"host": 0, "gpu0": 0, "node1": 1, "node1.gpu0": 1},
+            {"host", "node1"},
+        )
+        r = reg()
+        assert d.valid_on_node(r, 0)
+        assert not d.valid_on_node(r, 1)
+        d.note_write(r, "node1.gpu0")
+        assert d.valid_on_node(r, 1)
+        assert not d.valid_on_node(r, 0)

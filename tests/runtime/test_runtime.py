@@ -7,8 +7,9 @@ from repro.runtime.dataregion import DataRegion
 from repro.runtime.directives import task
 from repro.runtime.runtime import OmpSsRuntime, RuntimeConfig
 from repro.runtime.task import TaskState
+from repro.schedulers.base import Scheduler
 from repro.sim.perfmodel import FixedCostModel
-from repro.sim.topology import minotauro_node
+from repro.sim.topology import cluster_machine, minotauro_node
 
 from tests.conftest import MB, make_machine, make_two_version_task, region, run_tasks
 
@@ -415,3 +416,57 @@ class TestResultObject:
         res = run_tasks(m, "versioning",
                         [(work, region("x"), region("y"))])
         assert set(res.worker_stats) == {"w:smp0", "w:smp1", "w:gpu0"}
+
+
+class _PinScheduler(Scheduler):
+    """Dispatches every ready task to one named worker."""
+
+    name = "pin"
+
+    def __init__(self, worker_name):
+        super().__init__()
+        self.worker_name = worker_name
+
+    def task_ready(self, t):
+        worker = next(w for w in self.rt.workers if w.name == self.worker_name)
+        self.rt.dispatch(t, worker, self.main_version(t.definition))
+
+
+class TestStagingChainRule:
+    """A copy chains off one already on the wire only from an allowed
+    source: any other node host for a push, none for a read staged into
+    a host space."""
+
+    def _runtime(self, scheduler):
+        m = cluster_machine(3, smp_per_node=1, gpus_per_node=0, noise_cv=0.0)
+        f = smp_task({}, machine=m)
+        rt = OmpSsRuntime(m, scheduler)
+        rt.enable_node_topology(m.cluster_layout())
+        x = region("x", 4 * MB)
+        rt.directory.register(x)
+        # x is valid only on node 0's host, with a copy on the wire to node 1
+        lands, issued = rt.push_region(x, "node1")
+        assert issued and rt.directory.entry(x).inflight == {"node1": lands}
+        return rt, f, x, lands
+
+    @staticmethod
+    def _links_of(rt, label):
+        return {
+            r.worker: r for r in rt.trace if r.category == "transfer" and r.label == label
+        }
+
+    def test_push_chains_off_copy_in_flight_to_another_host(self):
+        rt, _, x, lands = self._runtime("dep")
+        ready, issued = rt.push_region(x, "node2")
+        assert issued and ready > lands
+        links = self._links_of(rt, "x")
+        assert set(links) == {"link:host->node1", "link:node1->node2"}
+        assert links["link:node1->node2"].start >= lands
+
+    def test_smp_read_into_a_host_does_not_chain(self):
+        rt, f, x, _ = self._runtime(_PinScheduler("w:n2smp0"))
+        with rt:
+            f(x, region("y"))
+        links = self._links_of(rt, "x")
+        assert set(links) == {"link:host->node1", "link:host->node2"}
+        assert rt.result().tasks_completed == 1

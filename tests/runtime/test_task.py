@@ -120,6 +120,7 @@ class TestTaskInstance:
             d, [DataAccess(r, AccessKind.INPUT), DataAccess(r, AccessKind.INOUT)]
         )
         assert len(t.regions()) == 1
+        assert len(t.reads()) == 1
 
     def test_uids_monotonic(self):
         _, t1 = self.make()
