@@ -343,8 +343,8 @@ class ShardedClusterScheduler(Scheduler):
         return self.node_of_worker.get(worker.name, 0)
 
     def task_started(self, t: TaskInstance, worker: "Worker") -> None:
+        # no steal scan: a start idles no worker and deepens no pool
         self.inner[self._node_of(worker)].task_started(t, worker)
-        self._maybe_steal()
 
     def task_finished(self, t: TaskInstance, worker: "Worker", measured: float) -> None:
         assert self.rt is not None
@@ -554,16 +554,13 @@ class ShardedClusterScheduler(Scheduler):
                 # one depth snapshot per round (pool sizes only change
                 # when a steal succeeds, which restarts the round); the
                 # victim check runs first so the common no-backlog case
-                # exits after one flat scan, before any idle-worker scan
+                # exits after one flat scan, then the thief scan, so a
+                # backlog with no starving node exits before any sort
                 depths = [
                     fn() if fn is not None else 0 for fn in self._pool_fns
                 ]
                 if max(depths) < threshold:
                     return
-                victims = sorted(
-                    (n for n in nodes if depths[n] >= threshold),
-                    key=lambda n: (-depths[n], n),
-                )
                 thieves = [
                     n
                     for n in nodes
@@ -571,6 +568,10 @@ class ShardedClusterScheduler(Scheduler):
                 ]
                 if not thieves:
                     return
+                victims = sorted(
+                    (n for n in nodes if depths[n] >= threshold),
+                    key=lambda n: (-depths[n], n),
+                )
                 stolen = None
                 for thief in thieves:
                     for victim in victims:

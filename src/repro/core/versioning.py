@@ -149,6 +149,16 @@ class VersioningScheduler(Scheduler):
         # instead of re-walking the pool
         self._prio_in_pool = 0
         self._pumping = False
+        # set when a requeue frees room with no pump to follow: a parked
+        # original or a withdrawn speculative copy leaves its worker but
+        # never re-enters task_ready, so the next start pumps instead
+        self._stale = False
+        # (task name, size-group key) of every group that has left the
+        # learning phase.  learning_credit never decreases (estimator
+        # counts only grow, preloads happen only at construction) and
+        # the runnable-version set only shrinks, so a group that left
+        # learning never re-enters it: _choose skips in_learning_phase
+        self._left_learning: set[tuple] = set()
         # worker name -> estimated busy time (sum of estimates of queued
         # + running tasks, §IV-B "OmpSs worker estimated busy time")
         self._busy_est: dict[str, float] = {}
@@ -170,6 +180,9 @@ class VersioningScheduler(Scheduler):
     def bind(self, runtime) -> None:  # type: ignore[override]
         super().bind(runtime)
         self._busy_est = {w.name: 0.0 for w in runtime.workers}
+        # a pooled scheduler rebinds to a fresh runtime, whose live
+        # workers may run versions the last run had lost
+        self._left_learning.clear()
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and the Figure 5 bench)
@@ -238,7 +251,8 @@ class VersioningScheduler(Scheduler):
         self._pump()
 
     def task_started(self, t: TaskInstance, worker: "Worker") -> None:
-        self._pump()
+        if self._stale:
+            self._pump()
 
     def steal_ready_task(self, accept) -> Optional[TaskInstance]:
         """Yield the youngest acceptable pool task to a work thief.
@@ -292,6 +306,7 @@ class VersioningScheduler(Scheduler):
         if t.chosen_version is not None:
             group = self.table.group(t.name, t.data_bytes)
             group.note_unassigned(t.chosen_version.name)
+        self._stale = True
 
     def worker_down(self, worker: "Worker") -> None:
         # per-task estimates were already released via task_requeued when
@@ -308,19 +323,33 @@ class VersioningScheduler(Scheduler):
     def _pump(self) -> None:
         """Place pool tasks into worker queues while there is room.
 
-        Reentrancy guard: dispatching starts tasks, which calls back
-        into ``task_started`` -> ``_pump``.
+        Runs on every hook that can let a placement succeed: a task
+        became ready (a requeued task re-enters here too), a task
+        finished, a worker came back.  A start pumps only when the
+        scheduler is ``_stale``: the started task moves from its
+        worker's queue to ``current``, which leaves every load, busy
+        estimate, pool and profile table as it was.  Reentrancy guard: a
+        dispatch runs runtime code that may call back into the
+        scheduler.
         """
         if self._pumping:
             return
         assert self.rt is not None
         self._pumping = True
+        self._stale = False
         try:
+            bound = self.reliable_queue_bound
+            key = self.table.grouping.key
+            left = self._left_learning
             while self._pool:
                 placed = False
                 # groups found unplaceable in this scan: skip their other
                 # tasks (same candidates, same full workers)
                 blocked: set = set()
+                # room gate: with bounded reliable queues and no available
+                # worker below the bound, no reliable placement can land,
+                # so groups that left learning are blocked unscored
+                full = bound is not None and not self._any_room(bound)
                 # scan by the priority clause first (stable FIFO within
                 # equal priorities); zero-priority pools keep plain order
                 # (the counter tracks _pool mutations, so this is O(1))
@@ -331,10 +360,17 @@ class VersioningScheduler(Scheduler):
                 else:
                     scan = enumerate(self._pool)
                 for i, t in scan:
-                    gkey = (t.name, self.table.grouping.key(t.data_bytes))
+                    gkey = (t.name, key(t.data_bytes))
                     if gkey in blocked:
                         continue
-                    placement = self._choose(t)
+                    # before the gate: a task no live worker can run
+                    # must raise, not wait in the pool forever
+                    versions = self._runnable_versions(t)
+                    if full and gkey in left:
+                        blocked.add(gkey)
+                        continue
+                    group = self.table.group(t.name, t.data_bytes)
+                    placement = self._choose(t, versions, group, gkey)
                     if placement is None:
                         blocked.add(gkey)
                         continue
@@ -342,7 +378,6 @@ class VersioningScheduler(Scheduler):
                     del self._pool[i]
                     if t.priority:
                         self._prio_in_pool -= 1
-                    group = self.table.group(t.name, t.data_bytes)
                     est = group.mean_time(version.name)
                     est_value = est if est is not None else 0.0
                     self._busy_est[worker.name] += est_value
@@ -367,20 +402,31 @@ class VersioningScheduler(Scheduler):
         finally:
             self._pumping = False
 
+    def _any_room(self, bound: int) -> bool:
+        """Whether some available worker of this scheduler is below
+        ``bound`` — the only workers a room-gated placement can use."""
+        assert self.rt is not None
+        now = self.rt.engine.now
+        return any(w.available(now) and w.load() < bound for w in self.workers)
+
     def _choose(
-        self, t: TaskInstance
+        self,
+        t: TaskInstance,
+        versions: list[TaskVersion],
+        group: SizeGroupProfile,
+        gkey: tuple,
     ) -> Optional[tuple[TaskVersion, "Worker", bool]]:
         """Pick (version, worker, is_learning) for ``t``, or None if no
-        capable worker currently has queue room."""
-        versions = self._runnable_versions(t)
-        group = self.table.group(t.name, t.data_bytes)
-        names = [v.name for v in versions]
+        capable worker currently has queue room.  ``versions`` are its
+        runnable versions and ``group`` its size group, keyed ``gkey``."""
         # version-fallback retry: a (version, worker) pair the task has
         # already faulted on is avoided while an alternative exists —
         # the paper's multi-version tables double as the degradation path
         avoid = frozenset(t.failed_pairs)
 
-        if self.in_learning_phase(group, names):
+        if gkey not in self._left_learning and self.in_learning_phase(
+            group, [v.name for v in versions]
+        ):
             # λ-capped round-robin into workers with queue room.
             choice = self._learning_choice(t, versions, group)
             if choice is not None:
@@ -399,6 +445,7 @@ class VersioningScheduler(Scheduler):
             if choice is not None:
                 return (*choice, True)
             return None
+        self._left_learning.add(gkey)
         # Reliable phase: the paper pushes at ready time into unbounded
         # per-worker queues (Figure 5 shows deep task lists); the busy
         # estimate, not queue room, is what steers placement.  With

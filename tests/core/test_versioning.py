@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.versioning import VersioningScheduler
+from repro.resilience.faults import FaultPlan, WorkerFailure
 from repro.runtime.directives import task
 from repro.runtime.runtime import OmpSsRuntime
 from repro.sim.perfmodel import FixedCostModel, TableCostModel
@@ -235,3 +236,30 @@ class TestErrors:
         with pytest.raises(RuntimeError, match="no worker"):
             with rt:
                 gpu_only()
+
+    def test_bounded_queues_raise_when_every_capable_worker_died(self):
+        """With bounded reliable queues and every worker dead, no worker
+        has room, so the room gate would block the graduated group; the
+        runnable-version check runs first and raises instead of leaving
+        the tasks to deadlock in the pool."""
+        work, reg = make_two_version_task()
+        warm = make_machine(1, 1)
+        reg(warm)
+        hints_sched = VersioningScheduler()
+        run_tasks(warm, hints_sched, burst(work, 12))
+
+        m = make_machine(1, 1)
+        reg(m)
+        sched = VersioningScheduler(
+            reliable_queue_bound=1, hints=hints_sched.table.to_dict()
+        )
+        plan = FaultPlan(worker_failures=(
+            WorkerFailure("smp0", 0.0005), WorkerFailure("gpu0", 0.0005),
+        ))
+        rt = OmpSsRuntime(m, sched, fault_plan=plan)
+        with pytest.raises(RuntimeError, match="no worker on this machine can run"):
+            with rt:
+                for fn, *args in burst(work, 20):
+                    fn(*args)
+        assert sched._left_learning
+        assert not sched._any_room(1)

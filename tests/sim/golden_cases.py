@@ -173,6 +173,18 @@ CASES: tuple[GoldenCase, ...] = (
         machine="cluster4",
     ),
     GoldenCase(
+        # eight tiles back the per-node ready pools up against the
+        # bounded reliable-phase queues: placements fail for want of
+        # room and idle nodes steal from the backed-up pools
+        id="matmul8-hyb-cluster-affinity-steal",
+        app="matmul",
+        app_args={"n_tiles": 8, "tile_size": 64, "variant": "hyb"},
+        scheduler="cluster",
+        scheduler_options={"partition": "affinity", "steal": True},
+        machine="cluster4",
+        fires=("steals",),
+    ),
+    GoldenCase(
         id="matmul4-hyb-cluster-block-netloss",
         app="matmul",
         app_args={"n_tiles": 4, "tile_size": 64, "variant": "hyb"},
@@ -226,6 +238,18 @@ CASES: tuple[GoldenCase, ...] = (
             "hangs", "straggler_detected", "speculations_won",
             "speculations_wasted", "retries",
         ),
+    ),
+    GoldenCase(
+        # bounded queues under stragglers: a withdrawn speculative copy
+        # frees room without re-entering the pool, and only the next
+        # start's pump sees that room
+        id="matmul4-hyb-versioning-bounded-stragglers",
+        app="matmul",
+        app_args={"n_tiles": 4, "tile_size": 64, "variant": "hyb"},
+        scheduler_options={"reliable_queue_bound": 2},
+        faults="stragglers",
+        recovery={"speculate": True, "deadline_grace": 1.0, "deadline_k": 0.0},
+        fires=("hangs", "speculations_won", "speculations_wasted"),
     ),
     GoldenCase(
         id="matmul3-hyb-versioning-node-chaos-early",
