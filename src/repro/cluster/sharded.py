@@ -387,7 +387,8 @@ class ShardedClusterScheduler(Scheduler):
     # Node crash / rejoin
     # ------------------------------------------------------------------
     def node_down(self, node: int) -> None:
-        """A whole node crashed (called by the runtime's ``_node_down``).
+        """A whole node crashed (called by the resilience manager's
+        ``_node_down``).
 
         Runs *before* the node's individual workers are torn down:
         the router fences the dead node's epoch and recovers its

@@ -160,10 +160,16 @@ class TransferEngine:
         return link.group if link.group is not None else (link.src, link.dst)
 
     def _hop_time(self, link, nbytes: int, start: float) -> float:
-        """One hop's duration, stretched by any active link degradation."""
-        if self.resilience is None:
-            return link.transfer_time(nbytes)
-        bw_f, lat_f = self.resilience.link_factors(link.src, link.dst, start)
+        """One hop's duration, stretched by any active link degradation.
+
+        Without a fault plan both factors are 1.0, which leaves the
+        link's ``latency + nbytes / bandwidth`` bit for bit.
+        """
+        resilience = self.resilience
+        bw_f, lat_f = (
+            (1.0, 1.0) if resilience is None
+            else resilience.link_factors(link.src, link.dst, start)
+        )
         return link.latency * lat_f + (nbytes / link.bandwidth) * bw_f
 
     def _claim(self, link, ready: float, nbytes: int) -> tuple[float, float]:
@@ -251,13 +257,14 @@ class TransferEngine:
                     end = hop_end
                     break
                 assert resilience is not None
-                if attempt > self.resilience.max_transfer_retries:
+                budget = resilience.policy.transfer_max_retries
+                if attempt > budget:
                     raise TransferRetryExceededError(
                         f"transfer of {request.region.label!r} over "
                         f"{link.src}->{link.dst} failed {attempt} times "
-                        f"(retry budget {self.resilience.max_transfer_retries})"
+                        f"(retry budget {budget})"
                     )
-                end = hop_end + self.resilience.transfer_retry(attempt)
+                end = hop_end + resilience.transfer_retry(attempt)
                 attempt += 1
         if on_complete is not None:
             self.engine.schedule(

@@ -16,8 +16,9 @@ scheduler's learning tables steer the retry.  This package supplies
   :mod:`repro.sim.perturb`,
 * :mod:`repro.resilience.recovery` — the :class:`RecoveryPolicy`
   (retry budgets, quarantine, speculation) and the
-  :class:`ResilienceManager` that the runtime consults at task start /
-  transfer time and notifies on every fault,
+  :class:`ResilienceManager`, which the runtime installs only when the
+  run needs recovery and which owns every abnormal end of an
+  execution,
 * :mod:`repro.resilience.watchdog` — profile-derived adaptive deadlines
   (:class:`TaskWatchdog`) feeding speculative re-execution of
   stragglers, and the global :class:`ProgressWatchdog` that fails a

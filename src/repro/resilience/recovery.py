@@ -1,10 +1,10 @@
-"""Recovery policy: retry budgets, worker quarantine, failure accounting.
+"""Recovery: retry budgets, quarantine, stragglers, worker and node loss.
 
-The :class:`ResilienceManager` is the runtime's single point of contact
-with the fault model.  The runtime *consults* it (does this task start
-fault?  does this transfer attempt fail?) and *notifies* it (a task
-faulted, a task succeeded, a worker died); the manager owns every
-recovery decision:
+The :class:`ResilienceManager` owns every way an execution ends other
+than normally.  The runtime installs one only when the run needs it (a
+fault plan that injects something, or a speculating policy); it then
+decides at each start how the execution ends and runs every recovery
+action itself:
 
 * **retry budget** — a faulted task re-enters the ready pool until it
   has failed ``max_task_retries`` times, then the run aborts with
@@ -34,6 +34,9 @@ recovery decision:
   retried through the normal transient-fault path.  A lost race counts
   as a strike in the loser worker's quarantine streak — a persistently
   slow worker eventually quarantines itself out of the candidate set.
+* **worker and node loss** — a dead worker's tasks are re-dispatched;
+  regions whose only copies died with a node are recomputed from their
+  write lineage.
 
 Everything is driven by simulated time and deterministic counters, so
 recovery behaviour is exactly reproducible.
@@ -47,12 +50,16 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.resilience.faults import FaultPlan
 from repro.resilience.watchdog import TaskWatchdog
+from repro.runtime.task import TaskInstance, TaskState, TaskVersion
 from repro.sim.engine import EventKind
+from repro.sim.topology import HOST_SPACE
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.dataregion import DataRegion
     from repro.runtime.runtime import OmpSsRuntime
-    from repro.runtime.task import TaskInstance
     from repro.runtime.worker import Worker
+
+_EPS = 1e-12  # the runtime's time tolerance
 
 
 class TaskRetryExceededError(RuntimeError):
@@ -237,12 +244,15 @@ class ResilienceManager:
         self._worker_completions: dict[str, int] = {}
         # primary uid -> speculative copies launched for it (lifetime)
         self._spec_count: dict[int, int] = {}
+        # original uid -> its live speculative copy (a copy finds its
+        # original through ``speculative_of``)
+        self._spec_shadow: dict[int, TaskInstance] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def bind(self, runtime: "OmpSsRuntime") -> None:
-        """Attach to a runtime; schedules the plan's worker deaths."""
+        """Attach to a runtime; schedules the plan's worker and node faults."""
         self.rt = runtime
         self._transient = {w.name: 0 for w in runtime.workers}
         if self.plan is None:
@@ -251,7 +261,7 @@ class ResilienceManager:
             worker = self._resolve_worker(wf.worker)
             runtime.engine.schedule(
                 wf.at_time,
-                lambda w=worker: runtime._worker_down(w),
+                lambda w=worker: self._worker_down(w),
                 kind=EventKind.WORKER_DOWN,
                 label=f"fail {worker.name}",
             )
@@ -271,63 +281,29 @@ class ResilienceManager:
                     )
                 runtime.engine.schedule(
                     nc.at_time,
-                    lambda n=nc.node: runtime._node_down(n),
+                    lambda n=nc.node: self._node_down(n),
                     kind=EventKind.NODE_DOWN,
                     label=f"crash node {nc.node}",
                 )
                 if nc.rejoin_after is not None:
                     runtime.engine.schedule(
                         nc.at_time + nc.rejoin_after,
-                        lambda n=nc.node: runtime._node_up(n),
+                        lambda n=nc.node: self._node_up(n),
                         kind=EventKind.NODE_UP,
                         label=f"rejoin node {nc.node}",
                     )
 
     def _resolve_worker(self, name: str) -> "Worker":
-        assert self.rt is not None
         for w in self.rt.workers:
             if name in (w.name, w.device.name):
                 return w
         raise KeyError(f"fault plan names unknown worker/device {name!r}")
 
     # ------------------------------------------------------------------
-    # Consultation (runtime asks before committing to an outcome)
+    # Consultation (the transfer engine, which holds the manager only
+    # when the plan injects faults, asks per hop and per message)
     # ------------------------------------------------------------------
-    def task_fault_at_start(
-        self, t: "TaskInstance", worker: "Worker"
-    ) -> Optional[float]:
-        """Fraction of the duration after which this start faults, or None."""
-        if self.injector is None:
-            return None
-        assert t.chosen_version is not None
-        return self.injector.task_fault(
-            worker.name, worker.device.name, t.chosen_version.kernel
-        )
-
-    def task_hang_at_start(self, t: "TaskInstance", worker: "Worker") -> bool:
-        """Whether this execution hangs (never fires a completion event)."""
-        if self.injector is None:
-            return False
-        assert t.chosen_version is not None
-        if self.injector.task_hang(
-            worker.name, worker.device.name, t.chosen_version.kernel
-        ):
-            self.stats.hangs += 1
-            return True
-        return False
-
-    def slowdown_factor(self, worker: "Worker") -> float:
-        """Duration multiplier of a task starting on ``worker`` now."""
-        if self.injector is None:
-            return 1.0
-        assert self.rt is not None
-        return self.injector.slowdown_factor(
-            worker.name, worker.device.name, self.rt.engine.now
-        )
-
     def transfer_fault(self, src: str, dst: str) -> bool:
-        if self.injector is None:
-            return False
         if self.injector.transfer_fault(src, dst):
             self.stats.transfer_faults += 1
             return True
@@ -335,8 +311,6 @@ class ResilienceManager:
 
     def message_fault(self, src: str, dst: str, label: str):
         """Fault (if any) suffered by one message transmission."""
-        if self.injector is None:
-            return None
         fault = self.injector.message_fault(src, dst, label)
         if fault is not None:
             if fault.drop:
@@ -349,13 +323,7 @@ class ResilienceManager:
 
     def link_factors(self, src: str, dst: str, now: float) -> tuple[float, float]:
         """Composed (bandwidth, latency) degradation of a hop at ``now``."""
-        if self.injector is None:
-            return 1.0, 1.0
         return self.injector.link_factors(src, dst, now)
-
-    @property
-    def max_transfer_retries(self) -> int:
-        return self.policy.transfer_max_retries
 
     def transfer_retry(self, attempt: int) -> float:
         """Account one transfer retry; returns its backoff delay."""
@@ -363,23 +331,155 @@ class ResilienceManager:
         return self.policy.transfer_backoff * (2.0 ** (attempt - 1))
 
     # ------------------------------------------------------------------
-    # Notification (runtime reports what happened)
+    # Task lifecycle (the runtime's start and finish hand over here)
     # ------------------------------------------------------------------
-    def on_task_fault(
-        self, t: "TaskInstance", worker: "Worker", *, will_retry: bool = True
+    def on_task_start(
+        self, t: TaskInstance, worker: "Worker", nominal: float
     ) -> None:
-        """A running task faulted transiently on ``worker``.
+        """An execution began: schedule how it ends and arm its deadline.
+
+        The fault plan draws a hang first, then a fault.  A hung
+        execution occupies the worker forever and schedules no end event:
+        only the straggler (or progress) watchdog resolves it.  A
+        faulting one ends part-way in a ``TASK_FAIL`` event; any other
+        completes at its duration, stretched by an active slowdown.
+        ``nominal`` (the cost model's estimate) feeds the deadline, which
+        deliberately is not stretched, so a degraded worker's executions
+        overshoot it and are recovered.  The deadline is armed after the
+        end event so one landing on the exact completion time loses the
+        (time, seq) tie-break to it.  Speculative copies are never
+        watched themselves (no recursive speculation).
+        """
+        rt = self.rt
+        engine = rt.engine
+        now = engine.now
+        injector = self.injector
+        duration, hang, fail_fraction = nominal, False, None
+        if injector is not None:
+            name, device, kernel = worker.name, worker.device.name, t.chosen_version.kernel
+            duration = nominal * injector.slowdown_factor(name, device, now)
+            hang = injector.task_hang(name, device, kernel)
+            if not hang:
+                fail_fraction = injector.task_fault(name, device, kernel)
+        if hang:
+            self.stats.hangs += 1
+            worker._end_event = None
+        elif fail_fraction is not None:
+            worker._end_event = engine.schedule(
+                now + duration * fail_fraction,
+                lambda: self._fail_running(t, worker),
+                kind=EventKind.TASK_FAIL,
+                label=t.label,
+            )
+        else:
+            worker._end_event = engine.schedule(
+                now + duration,
+                lambda: rt._finish(t, worker),
+                kind=EventKind.TASK_END,
+                label=t.label,
+            )
+        if self.policy.speculate and t.speculative_of is None:
+            self.watchdog.arm(t, worker, nominal)
+
+    def on_task_end(
+        self, t: TaskInstance, worker: "Worker"
+    ) -> tuple[TaskInstance, Optional["Worker"]]:
+        """An execution completed: disarm its deadline, settle its race.
+
+        Returns ``(record, loser)``: the task the dependence graph
+        retires and the worker whose straggling execution was stopped.
+        An original that finishes first withdraws its speculative copy.
+        A copy that finishes first wins: its original stays the
+        dependence-graph record (finish order, write lineage, successor
+        release) and takes over the copy's (version, worker) pair; the
+        straggling original, if still running, is stopped as
+        ``spec-abort`` — unless it already left its worker (faulted
+        away, or the worker died) and was parked.
+        """
+        rt = self.rt
+        primary = self._original_of(t)
+        self.watchdog.disarm(t if primary is None else primary)
+        if primary is None:
+            shadow = self._spec_shadow.get(t.uid)
+            if shadow is not None:
+                # the straggling original beat its speculative copy after all
+                self._cancel_speculation(shadow)
+            return t, None
+        del self._spec_shadow[primary.uid]
+        loser = rt._worker_of(primary)
+        if loser is not None and loser.current is primary:
+            rt._stop(primary, loser, "spec-abort")
+            rt._unpin(primary, loser.space)
+            rt.scheduler.task_requeued(primary, loser)
+        else:
+            loser = None
+        # the original retires under the winning pair so dependence-
+        # order analyses and traces agree on where the task really ran
+        primary.chosen_version = t.chosen_version
+        primary.chosen_worker = worker.name
+        primary.start_time = t.start_time
+        primary.end_time = rt.engine.now
+        primary.state = TaskState.FINISHED
+        return primary, loser
+
+    def on_task_success(
+        self, t: TaskInstance, worker: "Worker", loser: Optional["Worker"]
+    ) -> None:
+        """A task completed cleanly: the worker's fault streak resets.
+
+        When ``t`` is a speculative copy, it won its race; the abandoned
+        execution on ``loser`` is a strike against that worker, feeding
+        the same consecutive-fault streak that drives quarantine — a
+        worker that keeps losing races to its peers is degraded, whether
+        or not it ever faults outright.
+        """
+        self._transient[worker.name] = 0
+        self._worker_completions[worker.name] = (
+            self._worker_completions.get(worker.name, 0) + 1
+        )
+        if t.speculative_of is not None:
+            self.stats.speculations_won += 1
+            if loser is not None:
+                self._strike(loser)
+
+    # ------------------------------------------------------------------
+    # Transient faults
+    # ------------------------------------------------------------------
+    def _fail_running(self, t: TaskInstance, worker: "Worker") -> None:
+        """The running task faulted transiently (TASK_FAIL event).
+
+        The partially-executed work still occupied the worker (busy
+        time), but nothing else of the execution survives: the body was
+        never run, no writes reached the directory, and no duration is
+        reported to the scheduler — profile tables stay uncorrupted.
+        Neither a speculative copy (the requeue withdraws it: the
+        original is still in flight) nor a primary with a live copy (the
+        copy carries the task) retries, so their budget is spared; the
+        worker's streak is charged either way.
+        """
+        rt = self.rt
+        self.watchdog.disarm(t)
+        rt._stop(t, worker, "fault", t.attempts + 1)
+        self._charge_fault(
+            t, worker,
+            will_retry=t.speculative_of is None and t.uid not in self._spec_shadow,
+        )
+        self._requeue(t, worker)
+        rt._try_start(worker)
+
+    def _charge_fault(
+        self, t: TaskInstance, worker: "Worker", *, will_retry: bool = True
+    ) -> None:
+        """Account one transient fault of ``t`` on ``worker``.
 
         Burns one unit of the task's retry budget, records the failed
         (version, worker) pair for alternate-pair preference, and may
-        quarantine the worker.  Raises when the budget is exhausted.
-
-        ``will_retry=False`` accounts a fault that causes no retry — a
-        faulted speculative copy, or a faulted primary whose live copy
-        carries the task — charging the worker streak but not the task's
-        retry budget.
+        quarantine the worker (draining its queue).  Raises
+        :class:`TaskRetryExceededError` when the budget is exhausted.
+        ``will_retry=False`` charges the worker streak but not the
+        task's retry budget.
         """
-        assert self.rt is not None and t.chosen_version is not None
+        assert t.chosen_version is not None
         self.stats.task_faults += 1
         t.failed_pairs.add((t.chosen_version.name, worker.name))
         if will_retry:
@@ -405,34 +505,42 @@ class ResilienceManager:
         ):
             self._quarantine(worker)
 
-    def on_task_success(self, worker: "Worker") -> None:
-        """A task completed cleanly: the worker's fault streak resets."""
-        self._transient[worker.name] = 0
-        self._worker_completions[worker.name] = (
-            self._worker_completions.get(worker.name, 0) + 1
+    def _requeue(self, t: TaskInstance, worker: "Worker") -> None:
+        """Pull a dispatched-but-unfinished task back to the ready pool."""
+        if self._original_of(t) is not None:
+            # a speculative copy never re-enters the pool: losing its
+            # worker (death, quarantine drain) just cancels the race
+            self._cancel_speculation(t)
+            return
+        rt = self.rt
+        now = rt.engine.now
+        rt._xfer_ready.pop(t.uid, None)
+        rt._unpin(t, worker.space)
+        rt.scheduler.task_requeued(t, worker)
+        if t.uid in self._spec_shadow:
+            # a primary with a live speculative copy is parked, not
+            # retried: the copy carries the task to completion
+            t.state = TaskState.READY
+            return
+        rt.trace.add(
+            now, now, worker.name, "retry", t.name,
+            meta=(rt._local_ids[t.uid], t.attempts),
         )
+        t.chosen_version = None
+        t.chosen_worker = None
+        rt._mark_ready(t)
 
     # ------------------------------------------------------------------
     # Straggler detection and speculative re-execution
     # ------------------------------------------------------------------
-    def on_task_start(
-        self, t: "TaskInstance", worker: "Worker", nominal: float
-    ) -> None:
-        """An execution began; arm its adaptive deadline if enabled.
+    def _original_of(self, t: TaskInstance) -> Optional[TaskInstance]:
+        """The original of ``t`` if ``t`` is its live speculative copy."""
+        orig = t.speculative_of
+        if orig is None or self._spec_shadow.get(orig) is not t:
+            return None
+        return self.rt.graph.task(orig)
 
-        Speculative copies are never watched themselves (no recursive
-        speculation): the primary's progress is what matters, and a hung
-        copy alongside a hung primary surfaces via the progress watchdog.
-        """
-        if not self.policy.speculate or t.speculative_of is not None:
-            return
-        self.watchdog.arm(t, worker, nominal)
-
-    def on_task_stop(self, t: "TaskInstance") -> None:
-        """An execution ended (any way); its deadline is disarmed."""
-        self.watchdog.disarm(t)
-
-    def on_straggler(self, t: "TaskInstance", worker: "Worker") -> None:
+    def on_straggler(self, t: TaskInstance, worker: "Worker") -> None:
         """``t``'s deadline expired while still running on ``worker``.
 
         Prefers launching a speculative copy on the best alternate
@@ -452,7 +560,7 @@ class ResilienceManager:
         pair = self._choose_speculation_pair(t, worker)
         if (
             pair is not None
-            and len(rt._spec_shadow) < self.policy.max_concurrent_speculations
+            and len(self._spec_shadow) < self.policy.max_concurrent_speculations
             and self._spec_count.get(t.uid, 0) < self.policy.max_speculations_per_task
         ):
             version, target = pair
@@ -462,12 +570,12 @@ class ResilienceManager:
                 now, now, target.name, "speculate", version.name,
                 meta=(rt._local_ids[t.uid],),
             )
-            rt._launch_speculation(t, target, version)
+            self._launch_speculation(t, target, version)
             return
-        rt._abort_straggler(t, worker)
+        self._abort_straggler(t, worker)
 
     def _choose_speculation_pair(
-        self, t: "TaskInstance", worker: "Worker"
+        self, t: TaskInstance, worker: "Worker"
     ) -> Optional[tuple]:
         """Best (version, worker) pair for a speculative copy of ``t``.
 
@@ -501,24 +609,90 @@ class ResilienceManager:
                     best_pair = (version, w)
         return best_pair
 
-    def on_speculation_won(
-        self, primary: "TaskInstance", loser: Optional["Worker"]
+    def _launch_speculation(
+        self, t: TaskInstance, worker: "Worker", version: TaskVersion
     ) -> None:
-        """The speculative copy finished first; the original lost.
+        """Duplicate a straggling running task on an alternate pair.
 
-        The abandoned execution is a strike against its worker, feeding
-        the same consecutive-fault streak that drives quarantine — a
-        worker that keeps losing races to its peers is degraded, whether
-        or not it ever faults outright.
+        The copy is a real :class:`TaskInstance` sharing the original's
+        accesses/arguments (so transfers, pinning and coherence use the
+        ordinary machinery) but it never enters the dependence graph:
+        whichever execution finishes first retires the *original* in
+        dependence order, and the loser is cancelled.  The copy gets a
+        priority bump so it jumps ahead of queued work — a speculation
+        stuck behind a backlog would defeat its purpose.
         """
-        self.stats.speculations_won += 1
-        if loser is not None:
-            self._strike(loser)
+        rt = self.rt
+        shadow = TaskInstance(
+            t.definition,
+            t.accesses,
+            params=t.params,
+            args=t.args,
+            kwargs=t.kwargs,
+            priority=t.priority + 1,
+            label=f"{t.label}~spec",
+        )
+        shadow.uid = next(rt._uid_alloc)  # run-local, like submitted tasks
+        shadow.speculative_of = t.uid
+        shadow.attempts = t.attempts
+        shadow.failed_pairs = t.failed_pairs  # shared avoid-set, by design
+        shadow.submit_time = t.submit_time
+        shadow.state = TaskState.READY
+        shadow.ready_time = rt.engine.now
+        # trace records of the copy carry the original's run-local id
+        rt._local_ids[shadow.uid] = rt._local_ids[t.uid]
+        self._spec_shadow[t.uid] = shadow
+        rt.scheduler.task_speculated(shadow, worker, version)
+        rt.dispatch(shadow, worker, version)
 
-    def on_speculation_wasted(self, primary: "TaskInstance") -> None:
-        """The speculative copy was withdrawn (original finished first,
-        the copy faulted, or its worker was lost)."""
+    def _abort_straggler(self, t: TaskInstance, worker: "Worker") -> None:
+        """Cancel a straggling execution and retry it elsewhere.
+
+        The no-speculation recovery path (no alternate pair, or the
+        speculation budget is spent): the burned time stays on the
+        worker, and the retry budget and quarantine streak are charged
+        exactly as for a transient fault.  The expired deadline was the
+        execution's only armed one.
+        """
+        rt = self.rt
+        rt._stop(t, worker, "aborted")
+        self._charge_fault(t, worker)
+        self._requeue(t, worker)
+        rt._try_start(worker)
+
+    def _cancel_speculation(self, shadow: TaskInstance) -> None:
+        """Withdraw a speculative copy (queued or running) for good.
+
+        Called when the original finishes first, when the copy faults,
+        or when the copy's worker is lost.  A withdrawn copy never
+        re-enters any pool; its partial execution time (if it started)
+        stays on the worker as busy time under a ``spec-abort`` record,
+        while a copy still waiting in a queue burned no worker time and
+        leaves only a non-busy ``spec-drop`` point record.
+        """
+        rt = self.rt
+        # only a live copy is withdrawn
+        assert self._spec_shadow.get(shadow.speculative_of) is shadow
+        del self._spec_shadow[shadow.speculative_of]
+        w = rt._worker_of(shadow)
+        if w is not None:
+            if w.current is shadow:
+                rt._stop(shadow, w, "spec-abort")
+            else:
+                if shadow in w.queue:
+                    w.queue.remove(shadow)
+                now = rt.engine.now
+                rt.trace.add(
+                    now, now, w.name, "spec-drop", shadow.chosen_version.name,
+                    meta=(rt._local_ids[shadow.uid],),
+                )
+            rt._xfer_ready.pop(shadow.uid, None)
+            rt._unpin(shadow, w.space)
+            rt.scheduler.task_requeued(shadow, w)
+        shadow.state = TaskState.FINISHED  # retired, never re-dispatched
         self.stats.speculations_wasted += 1
+        if w is not None:
+            rt._try_start(w)
 
     # ------------------------------------------------------------------
     # Observed fault rates (fault-aware cost estimation)
@@ -539,43 +713,199 @@ class ResilienceManager:
         names = set(self._worker_faults) | set(self._worker_completions)
         return {n: self.worker_fault_rate(n) for n in sorted(names)}
 
-    def on_worker_down(self, worker: "Worker", redispatched: int) -> None:
-        self.stats.worker_failures += 1
-        self.stats.tasks_redispatched += redispatched
-
     # ------------------------------------------------------------------
     # Quarantine
     # ------------------------------------------------------------------
     def _quarantine(self, worker: "Worker") -> None:
         rt = self.rt
-        assert rt is not None
         now = rt.engine.now
         repeat = self._quarantine_count.get(worker.name, 0)
         cooldown = self.policy.quarantine_cooldown * (
             self.policy.quarantine_backoff ** repeat
         )
         self._quarantine_count[worker.name] = repeat + 1
-        worker.quarantined_until = now + cooldown
+        until = worker.quarantined_until = now + cooldown
         self.stats.quarantines += 1
         rt.trace.add(now, now, worker.name, "quarantine", f"cooldown={cooldown:.6g}")
-        self.stats.tasks_redispatched += rt._drain_worker(worker)
+        self.stats.tasks_redispatched += self._drain_worker(worker)
         rt.engine.schedule(
-            now + cooldown,
-            lambda w=worker: self._readmit(w),
+            until,
+            lambda: self._readmit(worker, until),
             kind=EventKind.RUNTIME,
             label=f"readmit {worker.name}",
         )
 
-    def _readmit(self, worker: "Worker") -> None:
-        worker.quarantined_until = None
-        if not worker.alive:  # died while quarantined; stays out for good
+    def _readmit(self, worker: "Worker", until: float) -> None:
+        """End the quarantine that was to last ``until``.
+
+        A quarantine that already ended — its worker died, or its node
+        crashed and rejoined (possibly to be quarantined afresh) — is
+        left alone: the event belongs to that quarantine only.
+        """
+        if worker.quarantined_until != until:
             return
+        worker.quarantined_until = None
         # probation: one more fault re-quarantines immediately, while one
         # clean completion (on_task_success) fully rehabilitates
         self._transient[worker.name] = max(0, self.policy.quarantine_threshold - 1)
         self.stats.readmissions += 1
         rt = self.rt
-        assert rt is not None
         rt.trace.add(rt.engine.now, rt.engine.now, worker.name, "readmit",
                      worker.device.name)
         rt.scheduler.worker_up(worker)
+
+    # ------------------------------------------------------------------
+    # Worker death
+    # ------------------------------------------------------------------
+    def _drain_worker(self, worker: "Worker") -> int:
+        """Hand every queued task of ``worker`` back to the scheduler.
+
+        Used when a worker dies or is quarantined.  Returns the number
+        of tasks re-dispatched.
+        """
+        drained = list(worker.queue)
+        worker.queue.clear()
+        for t in drained:
+            self._requeue(t, worker)
+        return len(drained)
+
+    def _worker_down(self, worker: "Worker") -> None:
+        """Permanent worker failure (WORKER_DOWN event).
+
+        The worker leaves every scheduler's candidate set for good; its
+        running task is aborted (without burning the task's retry
+        budget — the fault is the worker's, not the task's) and, with
+        all queued tasks, re-dispatched to the survivors.  Profile data
+        recorded from its past executions is retained untouched.
+        """
+        if not worker.alive:
+            return
+        rt = self.rt
+        now = rt.engine.now
+        worker.alive = False
+        worker.quarantined_until = None
+        rt.trace.add(now, now, worker.name, "worker-down", worker.device.name)
+        running = worker.current
+        if running is not None:
+            self.watchdog.disarm(running)
+            rt._stop(running, worker, "aborted")
+            self._requeue(running, worker)
+            self.stats.tasks_redispatched += 1
+        self.stats.tasks_redispatched += self._drain_worker(worker)
+        self.stats.worker_failures += 1
+        rt.scheduler.worker_down(worker)
+
+    # ------------------------------------------------------------------
+    # Whole-node crash / rejoin (cluster fault tolerance)
+    # ------------------------------------------------------------------
+    def _node_down(self, node: int) -> None:
+        """A whole node dies (NODE_DOWN event): workers, NIC and shard.
+
+        Order matters: the directory's lost regions are put under
+        recovery (and their recomputations scheduled) *before* the
+        node's workers are torn down, so the requeue-and-redispatch of
+        their tasks finds every lost region's recovery time in the
+        directory and waits instead of trying to source a copy that no
+        longer exists.  The scheduler's ``node_down`` hook runs before
+        the worker deaths so the shard map is repaired by the time
+        requeued tasks re-enter ``task_ready``.
+        """
+        rt = self.rt
+        layout = rt.node_topology
+        now = rt.engine.now
+        spaces = {s for s, n in layout.node_of_space.items() if n == node}
+        host = layout.host_of_node[node]
+        rt.trace.add(now, now, f"node:{host}", "node-down", f"node{node}")
+        self.stats.node_crashes += 1
+        rt.transfer_engine.set_spaces_down(spaces)
+        lost = rt.directory.invalidate_spaces(spaces)
+        self.stats.regions_lost += len(lost)
+        # each lost region's write lineage, in finish order: one entry
+        # per write access of every task that wrote it
+        lineage: dict[int, list[TaskInstance]] = {r.rid: [] for r in lost}
+        for uid in rt._finish_order:
+            t = rt.graph.task(uid)
+            for acc in t.accesses:
+                writers = lineage.get(acc.region.rid) if acc.writes else None
+                if writers is not None:
+                    writers.append(t)
+        for region in lost:
+            self._schedule_recompute(region, node, lineage[region.rid])
+        rt.scheduler.node_down(node)
+        for w in rt.workers:
+            if layout.node_of_space.get(w.space) == node:
+                self._worker_down(w)
+        for s in sorted(spaces):
+            rt.cache.purge_space(s)
+
+    def _node_up(self, node: int) -> None:
+        """A crashed node rejoins (NODE_UP event): cold caches, cold
+        profile state, a new epoch — its workers become schedulable
+        again but none of its pre-crash state survives."""
+        rt = self.rt
+        layout = rt.node_topology
+        now = rt.engine.now
+        spaces = {s for s, n in layout.node_of_space.items() if n == node}
+        host = layout.host_of_node[node]
+        rt.transfer_engine.set_spaces_up(spaces)
+        self.stats.node_rejoins += 1
+        for w in rt.workers:
+            if layout.node_of_space.get(w.space) == node and not w.alive:
+                w.alive = True
+                w.quarantined_until = None
+                w.current = None
+                w._end_event = None
+                w._wake_at = None
+                rt.trace.add(now, now, w.name, "worker-up", w.device.name)
+        rt.scheduler.node_up(node)
+        rt.trace.add(now, now, f"node:{host}", "node-up", f"node{node}")
+
+    def _schedule_recompute(
+        self, region: "DataRegion", dead_node: int, writers: list[TaskInstance]
+    ) -> None:
+        """Schedule the recomputation of a region lost to a node crash.
+
+        The simulated cost is the region's write lineage ``writers``
+        replayed on the best surviving worker — every task that ever
+        wrote it, at its nominal duration (accumulating writers must all
+        be redone).  The recomputed copy materialises in the home space
+        at the eta recorded in the directory; readers staged meanwhile
+        wait for it.
+        """
+        rt = self.rt
+        node_of_space = rt.node_topology.node_of_space
+        now = rt.engine.now
+        total = 0.0
+        for t in writers:
+            best: Optional[float] = None
+            for w in rt.workers:
+                if not w.alive:
+                    continue
+                if node_of_space.get(w.space) == dead_node:
+                    continue  # this worker is about to die with the node
+                for v in t.definition.versions:
+                    if v.runs_on(w.device.kind):
+                        d = w.device.duration(v.kernel, t.data_bytes, t.params)
+                        if best is None or d < best:
+                            best = d
+            total += best if best is not None else 0.0
+        eta = now + total
+        rt.directory.note_recomputing(region, eta)
+        self.stats.recompute_tasks += max(1, len(writers))
+        rt.trace.add(
+            now, eta, "recovery", "recompute", region.label,
+            meta=(len(writers),),
+        )
+        rt.engine.schedule(
+            eta,
+            lambda: self._recompute_done(region),
+            kind=EventKind.RETRY,
+            label=f"recompute {region.label}",
+        )
+
+    def _recompute_done(self, region: "DataRegion") -> None:
+        rt = self.rt
+        eta = rt.directory.entry(region).recover_at
+        if eta is None or eta > rt.engine.now + _EPS:
+            return  # superseded by a fresh write (or rescheduled)
+        rt.directory.note_recovered(region, HOST_SPACE)

@@ -61,10 +61,11 @@ class ProgressStallError(RuntimeError):
 class TaskWatchdog:
     """Arms one deadline event per running task, from learned profiles.
 
-    Owned by the :class:`ResilienceManager`; the runtime notifies task
-    starts/stops, the watchdog owns the deadline arithmetic and the
-    pending events.  ``armed_log`` keeps ``(label, deadline, source)``
-    tuples for tests and diagnostics — ``source`` is ``"profile"`` when
+    Owned by the :class:`ResilienceManager`, which arms a deadline at
+    each start and disarms it when the execution ends; the watchdog
+    owns the deadline arithmetic and the pending events.  ``armed_log``
+    keeps ``(label, deadline, source)`` tuples for tests and
+    diagnostics — ``source`` is ``"profile"`` when
     the deadline came from ``mean + k·sigma`` of a reliable profile and
     ``"cold"`` when the cold-start multiplier was used.
     """
@@ -126,9 +127,6 @@ class TaskWatchdog:
         ev = self._events.pop(t.uid, None)
         if ev is not None:
             ev.cancel()
-
-    def armed(self, t: "TaskInstance") -> bool:
-        return t.uid in self._events
 
     # ------------------------------------------------------------------
     def _expired(self, t: "TaskInstance", worker: "Worker") -> None:

@@ -36,6 +36,7 @@ from repro.resilience.recovery import (
     RecoveryPolicy,
     ResilienceManager,
     ResilienceStats,
+    default_recovery_policy,
 )
 from repro.runtime import context
 from repro.runtime.dataregion import DataRegion
@@ -255,10 +256,17 @@ class OmpSsRuntime:
         self.engine = SimEngine()
         self.trace = Trace()
         self.directory = Directory(HOST_SPACE)
-        self.resilience = ResilienceManager(plan=fault_plan, policy=recovery)
+        # recovery is installed only when the inputs need it: a fault
+        # plan that injects something, or a policy that speculates; the
+        # transfer engine consults it only for injected faults
+        policy = recovery if recovery is not None else default_recovery_policy()
+        faulty = fault_plan is not None and not fault_plan.empty
+        self.resilience: Optional[ResilienceManager] = (
+            ResilienceManager(fault_plan, policy) if faulty or policy.speculate else None
+        )
         self.transfer_engine = TransferEngine(
             self.engine, machine, trace=self.trace, host=HOST_SPACE,
-            resilience=self.resilience,
+            resilience=self.resilience if faulty else None,
         )
         self.cache = CacheManager(machine, self.directory, self.transfer_engine)
         self.graph = DependenceGraph(
@@ -288,7 +296,8 @@ class OmpSsRuntime:
                 raise ValueError("pass scheduler options to the scheduler instance directly")
             self.scheduler = scheduler
         self.scheduler.bind(self)
-        self.resilience.bind(self)
+        if self.resilience is not None:
+            self.resilience.bind(self)
         self.version_counts: dict[str, dict[str, int]] = {}
         self._finish_order: list[int] = []
         self._tasks_completed = 0
@@ -305,9 +314,6 @@ class OmpSsRuntime:
         # results stay byte-identical no matter how many runtimes the
         # process ran before
         self._uid_alloc = itertools.count(1)
-        # speculation bookkeeping: original uid -> its live speculative
-        # copy (a copy finds its original through ``speculative_of``)
-        self._spec_shadow: dict[int, TaskInstance] = {}
         self.progress_watchdog = None
         if self.config.progress_horizon is not None:
             from repro.resilience.watchdog import ProgressWatchdog
@@ -442,7 +448,10 @@ class OmpSsRuntime:
             worker_stats=worker_stats,
             trace=self.trace,
             finish_order=list(self._finish_order),
-            resilience=self.resilience.stats,
+            resilience=(
+                self.resilience.stats if self.resilience is not None
+                else ResilienceStats()
+            ),
             graph=self.graph,
             workers=list(self.workers),
             scheduler_state=self.scheduler,
@@ -661,13 +670,6 @@ class OmpSsRuntime:
         directory.note_in_flight(region, dst, done)
         return done
 
-    def _original_of(self, t: TaskInstance) -> Optional[TaskInstance]:
-        """The original of ``t`` if ``t`` is its live speculative copy."""
-        orig = t.speculative_of
-        if orig is None or self._spec_shadow.get(orig) is not t:
-            return None
-        return self.graph.task(orig)
-
     def _worker_of(self, t: TaskInstance) -> Optional[Worker]:
         """The worker ``t`` was last dispatched to (None if never)."""
         return self._workers_by_name.get(t.chosen_worker) if t.chosen_worker else None
@@ -726,40 +728,18 @@ class OmpSsRuntime:
         worker.current = t
         t.state = TaskState.RUNNING
         t.start_time = now
-        # nominal duration (the device cost model's estimate) feeds the
-        # watchdog deadline; the actual duration is stretched by any
-        # active slowdown fault — the deadline deliberately is not, so a
-        # degraded worker's executions overshoot it and are recovered
         nominal = worker.device.duration(t.chosen_version.kernel, t.data_bytes, t.params)
-        duration = nominal * self.resilience.slowdown_factor(worker)
-        if self.resilience.task_hang_at_start(t, worker):
-            # hung execution: occupies the worker forever and never
-            # fires a completion event — only the straggler watchdog
-            # (or the progress watchdog) can resolve it
-            worker._end_event = None
+        if self.resilience is None:
+            worker._end_event = self.engine.schedule(
+                now + nominal,
+                lambda: self._finish(t, worker),
+                kind=EventKind.TASK_END,
+                label=t.label,
+            )
         else:
-            fail_fraction = self.resilience.task_fault_at_start(t, worker)
-            if fail_fraction is not None:
-                # the execution faults part-way: the worker is occupied
-                # for the faulted fraction, then the task re-enters
-                # recovery
-                fail_at = now + duration * fail_fraction
-                worker._end_event = self.engine.schedule(
-                    fail_at,
-                    lambda: self._fail_running(t, worker),
-                    kind=EventKind.TASK_FAIL,
-                    label=t.label,
-                )
-            else:
-                worker._end_event = self.engine.schedule(
-                    now + duration,
-                    lambda: self._finish(t, worker),
-                    kind=EventKind.TASK_END,
-                    label=t.label,
-                )
-        # armed after the end event so a deadline landing on the exact
-        # completion time loses the (time, seq) tie-break to it
-        self.resilience.on_task_start(t, worker, nominal)
+            # the fault plan decides how this execution ends, and the
+            # straggler watchdog arms its deadline
+            self.resilience.on_task_start(t, worker, nominal)
         # the pop promoted a task into the prefetch window
         self._prepare_window(worker)
         self.scheduler.task_started(t, worker)
@@ -771,34 +751,18 @@ class OmpSsRuntime:
     def _finish(self, t: TaskInstance, worker: Worker) -> None:
         """Retire a completed execution: the one retire path.
 
-        A speculative copy that finishes first wins the race and retires
-        on behalf of its original, which stays the dependence-graph
-        record (finish order, write lineage, successor release) and
-        takes over the copy's (version, worker) pair; the straggling
-        original, if still running, is stopped as ``spec-abort``.
+        With recovery installed, a speculative copy that finishes first
+        retires on behalf of its original ``record`` (see
+        :meth:`ResilienceManager.on_task_end`), after the straggling
+        original, if still running, was stopped on ``loser``.
         """
         now = self.engine.now
         measured = now - t.start_time
-        primary = self._original_of(t)
-        record = t if primary is None else primary
-        self.resilience.on_task_stop(record)
+        resilience = self.resilience
+        record: TaskInstance = t
         loser: Optional[Worker] = None
-        if primary is None:
-            shadow = self._spec_shadow.get(t.uid)
-            if shadow is not None:
-                # the straggling original beat its speculative copy after all
-                self._cancel_speculation(shadow)
-        else:
-            del self._spec_shadow[primary.uid]
-            # cancel the straggling original — unless it already left its
-            # worker (faulted away, or the worker died) and was parked
-            loser = self._worker_of(primary)
-            if loser is not None and loser.current is primary:
-                self._stop(primary, loser, "spec-abort")
-                self._unpin(primary, loser.space)
-                self.scheduler.task_requeued(primary, loser)
-            else:
-                loser = None
+        if resilience is not None:
+            record, loser = resilience.on_task_end(t, worker)
         worker.current = None
         worker._end_event = None
         worker.busy_time += measured
@@ -830,14 +794,6 @@ class OmpSsRuntime:
             directory.note_write(region, space)
             cache.invalidate_stale_everywhere(region, space)
         self._unpin(t, space)
-        if primary is not None:
-            # the original retires under the winning pair so dependence-
-            # order analyses and traces agree on where the task really ran
-            primary.chosen_version = t.chosen_version
-            primary.chosen_worker = worker.name
-            primary.start_time = t.start_time
-            primary.end_time = now
-            primary.state = TaskState.FINISHED
 
         by_task = self.version_counts.get(t.name)
         if by_task is None:
@@ -847,313 +803,14 @@ class OmpSsRuntime:
         self._finish_order.append(record.uid)
         self._tasks_completed += 1
 
-        self.resilience.on_task_success(worker)
-        if primary is not None:
-            self.resilience.on_speculation_won(primary, loser)
+        if resilience is not None:
+            resilience.on_task_success(t, worker, loser)
         self.scheduler.task_finished(t, worker, measured)
         for succ in self.graph.task_finished(record):
             self._mark_ready(succ)
         self._try_start(worker)
         if loser is not None:
             self._try_start(loser)
-
-    # ------------------------------------------------------------------
-    # Failure handling (driven by the resilience subsystem)
-    # ------------------------------------------------------------------
-    def _fail_running(self, t: TaskInstance, worker: Worker) -> None:
-        """The running task faulted transiently (TASK_FAIL event).
-
-        The partially-executed work still occupied the worker (busy
-        time), but nothing else of the execution survives: the body was
-        never run, no writes reached the directory, and no duration is
-        reported to the scheduler — profile tables stay uncorrupted.
-        """
-        self.resilience.on_task_stop(t)
-        self._stop(t, worker, "fault", t.attempts + 1)
-        # burns retry budget, records the failed pair, may quarantine the
-        # worker (draining its queue); raises TaskRetryExceededError when
-        # the budget is gone.  Neither a speculative copy (the requeue
-        # withdraws it: the original is still in flight) nor a primary
-        # with a live copy (the copy carries the task) retries, so their
-        # budget is spared; the worker's streak is charged either way.
-        self.resilience.on_task_fault(
-            t, worker,
-            will_retry=t.speculative_of is None and t.uid not in self._spec_shadow,
-        )
-        self._requeue(t, worker)
-        self._try_start(worker)
-
-    def _requeue(self, t: TaskInstance, worker: Worker) -> None:
-        """Pull a dispatched-but-unfinished task back to the ready pool."""
-        if self._original_of(t) is not None:
-            # a speculative copy never re-enters the pool: losing its
-            # worker (death, quarantine drain) just cancels the race
-            self._cancel_speculation(t)
-            return
-        now = self.engine.now
-        self.resilience.on_task_stop(t)
-        self._xfer_ready.pop(t.uid, None)
-        self._unpin(t, worker.space)
-        self.scheduler.task_requeued(t, worker)
-        if t.uid in self._spec_shadow:
-            # a primary with a live speculative copy is parked, not
-            # retried: the copy carries the task to completion
-            t.state = TaskState.READY
-            return
-        self.trace.add(
-            now, now, worker.name, "retry", t.name,
-            meta=(self._local_ids[t.uid], t.attempts),
-        )
-        t.chosen_version = None
-        t.chosen_worker = None
-        self._mark_ready(t)
-
-    # ------------------------------------------------------------------
-    # Speculative re-execution (straggler recovery)
-    # ------------------------------------------------------------------
-    def _launch_speculation(
-        self, t: TaskInstance, worker: Worker, version: TaskVersion
-    ) -> None:
-        """Duplicate a straggling running task on an alternate pair.
-
-        The copy is a real :class:`TaskInstance` sharing the original's
-        accesses/arguments (so transfers, pinning and coherence use the
-        ordinary machinery) but it never enters the dependence graph:
-        whichever execution finishes first retires the *original* in
-        dependence order, and the loser is cancelled.  The copy gets a
-        priority bump so it jumps ahead of queued work — a speculation
-        stuck behind a backlog would defeat its purpose.
-        """
-        shadow = TaskInstance(
-            t.definition,
-            t.accesses,
-            params=t.params,
-            args=t.args,
-            kwargs=t.kwargs,
-            priority=t.priority + 1,
-            label=f"{t.label}~spec",
-        )
-        shadow.uid = next(self._uid_alloc)  # run-local, like submitted tasks
-        shadow.speculative_of = t.uid
-        shadow.attempts = t.attempts
-        shadow.failed_pairs = t.failed_pairs  # shared avoid-set, by design
-        shadow.submit_time = t.submit_time
-        shadow.state = TaskState.READY
-        shadow.ready_time = self.engine.now
-        # trace records of the copy carry the original's run-local id
-        self._local_ids[shadow.uid] = self._local_ids[t.uid]
-        self._spec_shadow[t.uid] = shadow
-        self.scheduler.task_speculated(shadow, worker, version)
-        self.dispatch(shadow, worker, version)
-
-    def _abort_straggler(self, t: TaskInstance, worker: Worker) -> None:
-        """Cancel a straggling execution and retry it elsewhere.
-
-        The no-speculation recovery path (no alternate pair, or the
-        speculation budget is spent): the burned time stays on the
-        worker, and the retry budget and quarantine streak are charged
-        exactly as for a transient fault.
-        """
-        self._stop(t, worker, "aborted")
-        self.resilience.on_task_fault(t, worker)
-        self._requeue(t, worker)
-        self._try_start(worker)
-
-    def _cancel_speculation(self, shadow: TaskInstance) -> None:
-        """Withdraw a speculative copy (queued or running) for good.
-
-        Called when the original finishes first, when the copy faults,
-        or when the copy's worker is lost.  A withdrawn copy never
-        re-enters any pool; its partial execution time (if it started)
-        stays on the worker as busy time under a ``spec-abort`` record,
-        while a copy still waiting in a queue burned no worker time and
-        leaves only a non-busy ``spec-drop`` point record.
-        """
-        primary = self._original_of(shadow)
-        assert primary is not None  # only a live copy is withdrawn
-        del self._spec_shadow[primary.uid]
-        w = self._worker_of(shadow)
-        if w is not None:
-            if w.current is shadow:
-                self._stop(shadow, w, "spec-abort")
-            else:
-                if shadow in w.queue:
-                    w.queue.remove(shadow)
-                now = self.engine.now
-                self.trace.add(
-                    now, now, w.name, "spec-drop", shadow.chosen_version.name,
-                    meta=(self._local_ids[shadow.uid],),
-                )
-            self._xfer_ready.pop(shadow.uid, None)
-            self._unpin(shadow, w.space)
-            self.scheduler.task_requeued(shadow, w)
-        shadow.state = TaskState.FINISHED  # retired, never re-dispatched
-        self.resilience.on_speculation_wasted(primary)
-        if w is not None:
-            self._try_start(w)
-
-    def _drain_worker(self, worker: Worker) -> int:
-        """Hand every queued task of ``worker`` back to the scheduler.
-
-        Used when a worker dies or is quarantined.  Returns the number
-        of tasks re-dispatched.
-        """
-        drained = list(worker.queue)
-        worker.queue.clear()
-        for t in drained:
-            self._requeue(t, worker)
-        return len(drained)
-
-    def _worker_down(self, worker: Worker) -> None:
-        """Permanent worker failure (WORKER_DOWN event).
-
-        The worker leaves every scheduler's candidate set for good; its
-        running task is aborted (without burning the task's retry
-        budget — the fault is the worker's, not the task's) and, with
-        all queued tasks, re-dispatched to the survivors.  Profile data
-        recorded from its past executions is retained untouched.
-        """
-        if not worker.alive:
-            return
-        now = self.engine.now
-        worker.alive = False
-        worker.quarantined_until = None
-        self.trace.add(now, now, worker.name, "worker-down", worker.device.name)
-        redispatched = 0
-        running = worker.current
-        if running is not None:
-            self._stop(running, worker, "aborted")
-            self._requeue(running, worker)
-            redispatched += 1
-        redispatched += self._drain_worker(worker)
-        self.resilience.on_worker_down(worker, redispatched)
-        self.scheduler.worker_down(worker)
-
-    # ------------------------------------------------------------------
-    # Whole-node crash / rejoin (cluster fault tolerance)
-    # ------------------------------------------------------------------
-    def _node_down(self, node: int) -> None:
-        """A whole node dies (NODE_DOWN event): workers, NIC and shard.
-
-        Order matters: the directory's lost regions are put under
-        recovery (and their recomputations scheduled) *before* the
-        node's workers are torn down, so the requeue-and-redispatch of
-        their tasks finds every lost region's recovery time in the
-        directory and waits instead of trying to source a copy that no
-        longer exists.  The scheduler's ``node_down`` hook runs before
-        the worker deaths so the shard map is repaired by the time
-        requeued tasks re-enter ``task_ready``.
-        """
-        layout = self.node_topology
-        if layout is None:
-            raise RuntimeError(
-                "node crash injected into a run without node topology"
-            )
-        now = self.engine.now
-        spaces = {s for s, n in layout.node_of_space.items() if n == node}
-        host = layout.host_of_node[node]
-        self.trace.add(now, now, f"node:{host}", "node-down", f"node{node}")
-        self.resilience.stats.node_crashes += 1
-        self.transfer_engine.set_spaces_down(spaces)
-        lost = self.directory.invalidate_spaces(spaces)
-        self.resilience.stats.regions_lost += len(lost)
-        # each lost region's write lineage, in finish order: one entry
-        # per write access of every task that wrote it
-        lineage: dict[int, list[TaskInstance]] = {r.rid: [] for r in lost}
-        for uid in self._finish_order:
-            t = self.graph.task(uid)
-            for acc in t.accesses:
-                writers = lineage.get(acc.region.rid) if acc.writes else None
-                if writers is not None:
-                    writers.append(t)
-        for region in lost:
-            self._schedule_recompute(region, node, lineage[region.rid])
-        node_down = getattr(self.scheduler, "node_down", None)
-        if node_down is not None:
-            node_down(node)
-        for w in self.workers:
-            if layout.node_of_space.get(w.space) == node:
-                self._worker_down(w)
-        for s in sorted(spaces):
-            self.cache.purge_space(s)
-
-    def _node_up(self, node: int) -> None:
-        """A crashed node rejoins (NODE_UP event): cold caches, cold
-        profile state, a new epoch — its workers become schedulable
-        again but none of its pre-crash state survives."""
-        layout = self.node_topology
-        if layout is None:  # pragma: no cover - bind() validated this
-            return
-        now = self.engine.now
-        spaces = {s for s, n in layout.node_of_space.items() if n == node}
-        host = layout.host_of_node[node]
-        self.transfer_engine.set_spaces_up(spaces)
-        self.resilience.stats.node_rejoins += 1
-        revived = []
-        for w in self.workers:
-            if layout.node_of_space.get(w.space) == node and not w.alive:
-                w.alive = True
-                w.quarantined_until = None
-                w.current = None
-                w._end_event = None
-                w._wake_at = None
-                revived.append(w)
-                self.trace.add(now, now, w.name, "worker-up", w.device.name)
-        node_up = getattr(self.scheduler, "node_up", None)
-        if node_up is not None:
-            node_up(node)
-        else:
-            for w in revived:
-                self.scheduler.worker_up(w)
-        self.trace.add(now, now, f"node:{host}", "node-up", f"node{node}")
-
-    def _schedule_recompute(
-        self, region: DataRegion, dead_node: int, writers: list[TaskInstance]
-    ) -> None:
-        """Schedule the recomputation of a region lost to a node crash.
-
-        The simulated cost is the region's write lineage ``writers``
-        replayed on the best surviving worker — every task that ever
-        wrote it, at its nominal duration (accumulating writers must all
-        be redone).  The recomputed copy materialises in the home space
-        at the eta recorded in the directory; readers staged meanwhile
-        wait for it.
-        """
-        layout = self.node_topology
-        now = self.engine.now
-        total = 0.0
-        for t in writers:
-            best: Optional[float] = None
-            for w in self.workers:
-                if not w.alive:
-                    continue
-                if layout is not None and layout.node_of_space.get(w.space) == dead_node:
-                    continue  # this worker is about to die with the node
-                for v in t.definition.versions:
-                    if v.runs_on(w.device.kind):
-                        d = w.device.duration(v.kernel, t.data_bytes, t.params)
-                        if best is None or d < best:
-                            best = d
-            total += best if best is not None else 0.0
-        eta = now + total
-        self.directory.note_recomputing(region, eta)
-        self.resilience.stats.recompute_tasks += max(1, len(writers))
-        self.trace.add(
-            now, eta, "recovery", "recompute", region.label,
-            meta=(len(writers),),
-        )
-        self.engine.schedule(
-            eta,
-            lambda r=region: self._recompute_done(r),
-            kind=EventKind.RETRY,
-            label=f"recompute {region.label}",
-        )
-
-    def _recompute_done(self, region: DataRegion) -> None:
-        eta = self.directory.entry(region).recover_at
-        if eta is None or eta > self.engine.now + _EPS:
-            return  # superseded by a fresh write (or rescheduled)
-        self.directory.note_recovered(region, HOST_SPACE)
 
     def _flush_to_host(self) -> None:
         """Copy every dirty region back to the host (taskwait semantics)."""

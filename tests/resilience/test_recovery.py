@@ -15,8 +15,17 @@ from repro import (
     TransferRetryExceededError,
     WorkerFailure,
 )
+from repro.apps.matmul import MatmulApp
+from repro.resilience import (
+    LinkDegradation,
+    NodeCrashRule,
+    ResilienceStats,
+    recovery_defaults,
+)
 from repro.runtime.directives import task
+from repro.sim.engine import EventKind
 from repro.sim.perfmodel import FixedCostModel
+from repro.sim.topology import cluster_machine
 from tests.conftest import make_machine, make_two_version_task, region
 
 
@@ -239,6 +248,102 @@ class TestQuarantine:
         assert res.tasks_completed == 12
         assert res.resilience.task_faults == 2
         assert res.resilience.quarantines == 0
+
+
+    def test_stale_readmission_skips_a_rejoined_worker(self):
+        """A node crash ends its workers' quarantines: the readmission
+        scheduled by a quarantine before the crash must not fire on the
+        rebooted worker after the rejoin."""
+        m = cluster_machine(4, smp_per_node=2, gpus_per_node=1,
+                            noise_cv=0.02, seed=7)
+        app = MatmulApp(n_tiles=6, tile_size=64, variant="hyb")
+        app.register_cost_models(m)
+        plan = FaultPlan(
+            seed=1,
+            task_faults=(TaskFaultRule(worker="n2gpu0", at_starts=(1, 2, 3)),),
+            node_crashes=(NodeCrashRule(node=2, at_time=0.0004,
+                                        rejoin_after=0.0001),),
+        )
+        rt = OmpSsRuntime(m, "cluster", scheduler_options={"partition": "block"},
+                          fault_plan=plan,
+                          recovery=RecoveryPolicy(quarantine_cooldown=0.001))
+        with rt:
+            app.master(rt)
+        res = rt.result()
+        assert res.tasks_completed == 6 ** 3
+        (q,) = records(res.trace, "quarantine")
+        (up,) = records(res.trace, "node-up")
+        assert q.worker == "w:n2gpu0" and q.start < up.start
+        assert records(res.trace, "readmit") == []
+        assert res.resilience.quarantines == 1
+        assert res.resilience.readmissions == 0
+
+
+class TestInstallRule:
+    """Recovery is installed only when a fault plan injects something or
+    the policy speculates; a fault-free run schedules no recovery event."""
+
+    RECOVERY_KINDS = {EventKind.TASK_FAIL, EventKind.WATCHDOG,
+                      EventKind.RETRY, EventKind.WORKER_DOWN}
+
+    def _run(self, *, n=8, **kwargs):
+        """Run ``n`` independent tasks; returns (rt, result, event kinds)."""
+        m = make_machine(2, 1)
+        work, _ = make_two_version_task({}, machine=m)
+        rt = OmpSsRuntime(m, "versioning", **kwargs)
+        kinds = []
+        schedule = rt.engine.schedule
+
+        def spy(when, callback, **kw):
+            kinds.append(kw.get("kind", EventKind.GENERIC))
+            return schedule(when, callback, **kw)
+
+        rt.engine.schedule = spy
+        with rt:
+            for i in range(n):
+                work(region(("a", i)), region(("b", i)))
+        return rt, rt.result(), kinds
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan()], ids=["none", "empty"])
+    @pytest.mark.parametrize("policy", [None, RecoveryPolicy()],
+                             ids=["implicit", "default"])
+    def test_fault_free_run_installs_no_recovery(self, plan, policy):
+        rt, res, kinds = self._run(fault_plan=plan, recovery=policy)
+        assert rt.resilience is None
+        assert rt.transfer_engine.resilience is None
+        assert res.tasks_completed == 8
+        assert res.resilience == ResilienceStats()
+        assert kinds and not self.RECOVERY_KINDS.intersection(kinds)
+
+    def test_no_plan_and_empty_plan_give_identical_results(self):
+        _, none, _ = self._run(fault_plan=None)
+        _, empty, _ = self._run(fault_plan=FaultPlan())
+        assert none.to_json() == empty.to_json()
+
+    def test_link_degradation_alone_installs_recovery(self):
+        _, plain, _ = self._run()
+        plan = FaultPlan(link_degradations=(
+            LinkDegradation(at_time=0.0, bandwidth_factor=4.0),
+        ))
+        rt, slow, _ = self._run(fault_plan=plan)
+        assert rt.resilience is not None
+        assert rt.transfer_engine.resilience is rt.resilience
+
+        def copy_time(res):
+            return sum(r.end - r.start for r in records(res.trace, "transfer"))
+
+        assert len(records(slow.trace, "transfer")) > 0
+        assert copy_time(slow) > copy_time(plain)
+
+    def test_speculation_from_recovery_defaults_installs_and_arms(self):
+        with recovery_defaults(RecoveryPolicy(speculate=True)):
+            rt, res, kinds = self._run()
+        assert rt.resilience is not None and rt.resilience.policy.speculate
+        # no fault plan: transfers never consult the manager
+        assert rt.transfer_engine.resilience is None
+        assert res.tasks_completed == 8
+        assert len(rt.resilience.watchdog.armed_log) == 8
+        assert kinds.count(EventKind.WATCHDOG) == 8
 
 
 class TestTransferFaults:

@@ -84,8 +84,17 @@ class TestAdaptiveDeadlines:
     def test_speculation_off_arms_no_deadlines(self, registry):
         m = make_machine(1, 1)
         work, _ = make_two_version_task(registry, machine=m)
-        rt, res = run_tasks(m, make_calls(work, 6))  # default policy
+        # default policy and no fault plan: no recovery is installed, so
+        # nothing can arm a deadline
+        rt, res = run_tasks(m, make_calls(work, 6))
         assert res.tasks_completed == 6
+        assert rt.resilience is None
+        # a fault plan installs recovery; without speculation it still
+        # arms no deadline
+        plan = FaultPlan(slowdowns=(WorkerSlowdown("gpu0", 0.0, 2.0),))
+        rt, res = run_tasks(m, make_calls(work, 6), plan=plan)
+        assert res.tasks_completed == 6
+        assert rt.resilience is not None
         assert rt.resilience.watchdog.armed_log == []
 
 

@@ -63,9 +63,11 @@ def _fault_plan(name: Optional[str]):
     from repro.resilience.faults import (
         FaultPlan,
         HangRule,
+        LinkDegradation,
         MessageFaultRule,
         NodeCrashRule,
         TaskFaultRule,
+        TransferFaultRule,
         WorkerFailure,
         WorkerSlowdown,
     )
@@ -119,6 +121,18 @@ def _fault_plan(name: Optional[str]):
             seed=3,
             slowdowns=(WorkerSlowdown("gpu0", 0.0001, 2.0),),
             hangs=(HangRule(at_starts=(4, 7)),),
+        )
+    if name == "flaky":
+        # a GPU that fails three starts in a row is quarantined and later
+        # readmitted, while failed copies are retried over a link that
+        # runs at a third of its bandwidth for the first 0.4 ms
+        return FaultPlan(
+            seed=5,
+            task_faults=(TaskFaultRule(worker="gpu0", at_starts=(2, 3, 4)),),
+            transfer_faults=(TransferFaultRule(at_attempts=(3, 8)),),
+            link_degradations=(
+                LinkDegradation(at_time=0.0, until=0.0004, bandwidth_factor=3.0),
+            ),
         )
     raise ValueError(f"unknown golden fault plan {name!r}")
 
@@ -259,6 +273,17 @@ CASES: tuple[GoldenCase, ...] = (
         recovery={"speculate": True},
         fires=("worker_failures", "tasks_redispatched", "task_faults",
                "speculations_won"),
+    ),
+    GoldenCase(
+        # quarantine drains a worker's queue and readmits it later;
+        # failed transfer attempts are retried with backoff
+        id="matmul3-hyb-versioning-node-flaky",
+        app="matmul",
+        app_args={"n_tiles": 3, "tile_size": 64, "variant": "hyb"},
+        faults="flaky",
+        recovery={"quarantine_cooldown": 0.0002},
+        fires=("quarantines", "readmissions", "tasks_redispatched",
+               "transfer_faults", "transfer_retries"),
     ),
     GoldenCase(
         id="cholesky6-hyb-cluster-block-netloss-rejoin",
