@@ -24,7 +24,7 @@ seeded per process), no iteration over unordered containers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.task import TaskInstance
@@ -46,14 +46,14 @@ class PartitionPolicy:
         self.n_nodes = n_nodes
 
     def assign(
-        self, t: "TaskInstance", seq: int, allowed: Sequence[int], loads: Sequence[int]
+        self, t: "TaskInstance", seq: int, allowed: Sequence[int], loads: Mapping[int, int]
     ) -> int:
         """Pick a node for task ``t``.
 
         ``seq`` is the run-local submission number (1-based), ``allowed``
         the nodes with a worker capable of running some version of ``t``
-        (never empty, ascending), ``loads`` the per-node count of tasks
-        assigned so far (indexed by node id).
+        (never empty, ascending), ``loads`` maps each node id to the
+        count of tasks assigned to it so far.
         """
         raise NotImplementedError
 
@@ -68,7 +68,7 @@ class HashPartition(PartitionPolicy):
     name = "hash"
 
     def assign(
-        self, t: "TaskInstance", seq: int, allowed: Sequence[int], loads: Sequence[int]
+        self, t: "TaskInstance", seq: int, allowed: Sequence[int], loads: Mapping[int, int]
     ) -> int:
         idx = ((seq * _HASH_MULT) & 0xFFFFFFFF) % len(allowed)
         return allowed[idx]
@@ -84,7 +84,7 @@ class BlockPartition(PartitionPolicy):
         self.block_size = block_size
 
     def assign(
-        self, t: "TaskInstance", seq: int, allowed: Sequence[int], loads: Sequence[int]
+        self, t: "TaskInstance", seq: int, allowed: Sequence[int], loads: Mapping[int, int]
     ) -> int:
         idx = ((seq - 1) // self.block_size) % len(allowed)
         return allowed[idx]
@@ -107,17 +107,19 @@ class AffinityPartition(PartitionPolicy):
         self._owner: dict[Hashable, int] = {}
 
     def assign(
-        self, t: "TaskInstance", seq: int, allowed: Sequence[int], loads: Sequence[int]
+        self, t: "TaskInstance", seq: int, allowed: Sequence[int], loads: Mapping[int, int]
     ) -> int:
-        score = {n: 0 for n in allowed}
+        # only owners of t's regions can score: O(accesses), not O(nodes)
+        score: dict[int, int] = {}
         for acc in t.accesses:
             owner = self._owner.get(acc.region.key)
-            if owner is not None and owner in score:
-                score[owner] += acc.region.nbytes
-        best = max(allowed, key=lambda n: (score[n], -n))
-        if score[best] > 0:
+            if owner is not None and owner in allowed:
+                score[owner] = score.get(owner, 0) + acc.region.nbytes
+        best = max(score, key=lambda n: (score[n], -n), default=None)
+        if best is not None and score[best] > 0:
             return best
-        return min(allowed, key=lambda n: (loads[n], n))
+        # allowed is ascending, so min keeps the lowest id among ties
+        return min(allowed, key=loads.__getitem__)
 
     def note_assigned(self, t: "TaskInstance", node: int) -> None:
         for acc in t.accesses:

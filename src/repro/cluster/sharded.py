@@ -114,12 +114,14 @@ class ShardedClusterScheduler(Scheduler):
         # every liveness change (worker_down/up, node_down/up) —
         # capability scans were a top frame of the 16-node profile.
         self._alive_kinds: dict[int, int] = {}
-        self._capable_cache: dict[object, list[int]] = {}
+        self._capable_cache: dict[object, tuple[int, ...]] = {}
         # per-node bound pool_size methods (see _refresh_pool_fns)
         self._pool_fns: list = []
         # sorted node ids, rebuilt alongside the pool fns: the steal
         # scan re-sorted the node map on every lifecycle hook
         self._sorted_nodes: list[int] = []
+        # a steal may be possible away from the hooked node (_steal_due)
+        self._steal_dirty = False
 
     # ------------------------------------------------------------------
     def bind(self, runtime: "OmpSsRuntime") -> None:
@@ -160,9 +162,10 @@ class ShardedClusterScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _liveness_changed(self) -> None:
         """Invalidate capability caches (a worker died/revived or a node
-        crashed/rejoined)."""
+        crashed/rejoined); the next steal check must scan."""
         self._alive_kinds.clear()
         self._capable_cache.clear()
+        self._steal_dirty = True
 
     def _node_alive_kinds(self, node: int) -> int:
         """Kind bitmask of the node's live workers (cached per liveness)."""
@@ -175,7 +178,7 @@ class ShardedClusterScheduler(Scheduler):
             self._alive_kinds[node] = kinds
         return kinds
 
-    def _capable_nodes(self, t: TaskInstance) -> list[int]:
+    def _capable_nodes(self, t: TaskInstance) -> tuple[int, ...]:
         """Nodes with a live worker able to run some version of ``t``.
 
         A node qualifies iff the union of the definition's version
@@ -186,7 +189,7 @@ class ShardedClusterScheduler(Scheduler):
         """
         cached = self._capable_cache.get(t.definition)
         if cached is not None:
-            return list(cached)
+            return cached
         union = t.definition.device_kind_mask
         out = []
         for node in sorted(self.node_workers):
@@ -200,8 +203,8 @@ class ShardedClusterScheduler(Scheduler):
             raise RuntimeError(
                 f"no node of this cluster can run any version of task {t.name!r}"
             )
-        self._capable_cache[t.definition] = out
-        return list(out)
+        cached = self._capable_cache[t.definition] = tuple(out)
+        return cached
 
     def task_submitted(self, t: TaskInstance) -> None:
         assert self.rt is not None and self.partitioner is not None
@@ -211,9 +214,7 @@ class ShardedClusterScheduler(Scheduler):
             return
         seq = self.rt._local_ids.get(t.uid, t.uid)
         allowed = self._capable_nodes(t)
-        node = self.partitioner.assign(t, seq, allowed, self._loads())
-        if node not in allowed:  # pragma: no cover - defensive
-            node = allowed[0]
+        node = self.partitioner.assign(t, seq, allowed, self.stats.tasks_per_node)
         self.shard_of[t.uid] = node
         self.stats.tasks_per_node[node] = self.stats.tasks_per_node.get(node, 0) + 1
         self.partitioner.note_assigned(t, node)
@@ -279,18 +280,10 @@ class ShardedClusterScheduler(Scheduler):
             return node
         return self._rehome(t, node)
 
-    def _loads(self) -> list[int]:
-        """Tasks sharded on each node so far, indexed by node id."""
-        loads = [0] * self.n_nodes
-        for n, c in self.stats.tasks_per_node.items():
-            loads[n] = c
-        return loads
-
     def _rehome(self, t: TaskInstance, src: int) -> int:
         """Move ``t``'s shard from ``src`` to the least loaded capable
-        node (lowest id on ties) and return that node."""
-        loads = self._loads()
-        dst = min(self._capable_nodes(t), key=lambda n: (loads[n], n))
+        node (the first, so lowest id, on ties) and return that node."""
+        dst = min(self._capable_nodes(t), key=self.stats.tasks_per_node.__getitem__)
         self._move_shard(t, src, dst)
         self.stats.evacuated_tasks += 1
         return dst
@@ -314,7 +307,8 @@ class ShardedClusterScheduler(Scheduler):
                 )
             self._stage_reads(t, node)
         self.inner[node].task_ready(t)
-        self._maybe_steal()
+        if self._steal_due(node, released=True):
+            self._maybe_steal()
 
     def _stage_reads(self, t: TaskInstance, node: int) -> None:
         """Pull read regions with no same-node copy toward the node host.
@@ -335,29 +329,33 @@ class ShardedClusterScheduler(Scheduler):
                 stats.pushes += 1
                 stats.push_bytes += region.nbytes
 
-    def _finished_uid(self, t: TaskInstance) -> int:
-        # a winning speculative shadow finishes on behalf of its primary
-        return t.speculative_of if t.speculative_of is not None else t.uid
-
     def _node_of(self, worker: "Worker") -> int:
         return self.node_of_worker.get(worker.name, 0)
 
     def task_started(self, t: TaskInstance, worker: "Worker") -> None:
-        # no steal scan: a start idles no worker and deepens no pool
-        self.inner[self._node_of(worker)].task_started(t, worker)
+        # no steal scan: a start idles no worker and deepens no pool, but
+        # a stale inner pump may shrink the pool and leave a thief
+        node = self._node_of(worker)
+        depth = self._pool_fns[node]
+        before = depth()
+        self.inner[node].task_started(t, worker)
+        if depth() < before:
+            self._steal_dirty = True
 
     def task_finished(self, t: TaskInstance, worker: "Worker", measured: float) -> None:
         assert self.rt is not None
         node = self._node_of(worker)
         if self.n_nodes > 1:
-            uid = self._finished_uid(t)
+            # a winning speculative copy finishes on behalf of its original
+            uid = t.speculative_of if t.speculative_of is not None else t.uid
             pred_node = self.shard_of.get(uid, node)
             for edge in self.rt.graph.out_edges(uid):
                 succ_node = self.shard_of.get(edge.dst)
                 if succ_node is not None and succ_node != pred_node:
                     self._notify_edge(edge, pred_node, succ_node)
         self.inner[node].task_finished(t, worker, measured)
-        self._maybe_steal()
+        if self._steal_due(node, released=False):
+            self._maybe_steal()
 
     def task_speculated(
         self, t: TaskInstance, worker: "Worker", version: TaskVersion
@@ -365,6 +363,8 @@ class ShardedClusterScheduler(Scheduler):
         self.inner[self._node_of(worker)].task_speculated(t, worker, version)
 
     def task_requeued(self, t: TaskInstance, worker: "Worker") -> None:
+        # frees a worker outside its node's release and finish hooks
+        self._steal_dirty = True
         self.inner[self._node_of(worker)].task_requeued(t, worker)
 
     def worker_down(self, worker: "Worker") -> None:
@@ -455,14 +455,15 @@ class ShardedClusterScheduler(Scheduler):
     def _refresh_pool_fns(self) -> None:
         """Re-resolve each inner scheduler's ``pool_size`` method.
 
-        Bound methods are cached because the steal scan reads every
-        node's pool depth on every task lifecycle hook;
+        Bound methods are cached because pool depths are read on every
+        release, start and finish (the steal gate) and by every scan;
         per-call ``getattr`` on the inner scheduler was a top frame.
         When the inner scheduler's ``pool_size`` is the stock
         ``len(self._pool)`` implementation, the pool deque's own
         ``__len__`` is bound instead — a C-level call; the deque is
         created once in ``__init__`` and only ever mutated in place, so
-        the binding stays valid.  Must be called whenever ``self.inner``
+        the binding stays valid.  A policy without a pool gets ``int``
+        (which returns 0).  Must be called whenever ``self.inner``
         changes (bind, node_up).
         """
         from repro.core.versioning import VersioningScheduler  # avoid cycle
@@ -472,7 +473,7 @@ class ShardedClusterScheduler(Scheduler):
         for sched in self.inner:
             fn = getattr(sched, "pool_size", None)
             if not callable(fn):
-                fns.append(None)
+                fns.append(int)
             elif getattr(type(sched), "pool_size", None) is stock:
                 fns.append(sched._pool.__len__)
             else:
@@ -480,13 +481,24 @@ class ShardedClusterScheduler(Scheduler):
         self._pool_fns = fns
         self._sorted_nodes = sorted(self.node_workers)
 
+    def _steal_due(self, node: int, released: bool) -> bool:
+        """Whether a scan can find a steal after a release (``released``)
+        or a finish on ``node``: only if ``node`` is now a victim (after a
+        release) or a thief, or ``_steal_dirty`` is set (DESIGN §12)."""
+        if self._steal_dirty:
+            return True
+        depth = self._pool_fns[node]()
+        if depth == 0:
+            return self._has_idle_worker(node)
+        return released and depth >= self.steal_threshold
+
     def _has_idle_worker(self, node: int) -> bool:
         assert self.rt is not None
         now = self.rt.engine.now
-        return any(
-            w.alive and w.available(now) and w.current is None and not w.queue
-            for w in self.node_workers[node]
-        )
+        for w in self.node_workers[node]:
+            if w.current is None and not w.queue and w.available(now):
+                return True
+        return False
 
     def _accepts(self, node: int):
         # same predicate as scanning versions × live workers: some
@@ -547,6 +559,7 @@ class ShardedClusterScheduler(Scheduler):
         if not self.steal or self.n_nodes < 2 or self._stealing:
             return
         assert self.rt is not None
+        self._steal_dirty = False
         self._stealing = True
         try:
             threshold = self.steal_threshold
@@ -557,9 +570,7 @@ class ShardedClusterScheduler(Scheduler):
                 # victim check runs first so the common no-backlog case
                 # exits after one flat scan, then the thief scan, so a
                 # backlog with no starving node exits before any sort
-                depths = [
-                    fn() if fn is not None else 0 for fn in self._pool_fns
-                ]
+                depths = [fn() for fn in self._pool_fns]
                 if max(depths) < threshold:
                     return
                 thieves = [

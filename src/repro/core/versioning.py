@@ -159,6 +159,11 @@ class VersioningScheduler(Scheduler):
         # the runnable-version set only shrinks, so a group that left
         # learning never re-enters it: _choose skips in_learning_phase
         self._left_learning: set[tuple] = set()
+        # task definition -> _runnable_versions(t), a function of worker
+        # liveness only: the runtime clears it at every alive flip
+        self._runnable: dict = {}
+        # (task name, size-group key) -> that group of self.table
+        self._groups: dict[tuple, SizeGroupProfile] = {}
         # worker name -> estimated busy time (sum of estimates of queued
         # + running tasks, §IV-B "OmpSs worker estimated busy time")
         self._busy_est: dict[str, float] = {}
@@ -183,6 +188,8 @@ class VersioningScheduler(Scheduler):
         # a pooled scheduler rebinds to a fresh runtime, whose live
         # workers may run versions the last run had lost
         self._left_learning.clear()
+        self._runnable.clear()
+        runtime.liveness_caches.append(self._runnable)
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and the Figure 5 bench)
@@ -341,6 +348,8 @@ class VersioningScheduler(Scheduler):
             bound = self.reliable_queue_bound
             key = self.table.grouping.key
             left = self._left_learning
+            runnable = self._runnable
+            groups = self._groups
             while self._pool:
                 placed = False
                 # groups found unplaceable in this scan: skip their other
@@ -348,8 +357,9 @@ class VersioningScheduler(Scheduler):
                 blocked: set = set()
                 # room gate: with bounded reliable queues and no available
                 # worker below the bound, no reliable placement can land,
-                # so groups that left learning are blocked unscored
-                full = bound is not None and not self._any_room(bound)
+                # so groups that left learning are blocked unscored (asked
+                # once per scan, when the first such group comes up)
+                room = None
                 # scan by the priority clause first (stable FIFO within
                 # equal priorities); zero-priority pools keep plain order
                 # (the counter tracks _pool mutations, so this is O(1))
@@ -365,11 +375,18 @@ class VersioningScheduler(Scheduler):
                         continue
                     # before the gate: a task no live worker can run
                     # must raise, not wait in the pool forever
-                    versions = self._runnable_versions(t)
-                    if full and gkey in left:
-                        blocked.add(gkey)
-                        continue
-                    group = self.table.group(t.name, t.data_bytes)
+                    versions = runnable.get(t.definition)
+                    if versions is None:
+                        versions = runnable[t.definition] = self._runnable_versions(t)
+                    if bound is not None and gkey in left:
+                        if room is None:
+                            room = self._any_room(bound)
+                        if not room:
+                            blocked.add(gkey)
+                            continue
+                    group = groups.get(gkey)
+                    if group is None:
+                        group = groups[gkey] = self.table.group(t.name, t.data_bytes)
                     placement = self._choose(t, versions, group, gkey)
                     if placement is None:
                         blocked.add(gkey)

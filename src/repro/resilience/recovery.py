@@ -783,6 +783,7 @@ class ResilienceManager:
         rt = self.rt
         now = rt.engine.now
         worker.alive = False
+        rt.liveness_changed()
         worker.quarantined_until = None
         rt.trace.add(now, now, worker.name, "worker-down", worker.device.name)
         running = worker.current
@@ -857,6 +858,7 @@ class ResilienceManager:
                 w._end_event = None
                 w._wake_at = None
                 rt.trace.add(now, now, w.name, "worker-up", w.device.name)
+        rt.liveness_changed()
         rt.scheduler.node_up(node)
         rt.trace.add(now, now, f"node:{host}", "node-up", f"node{node}")
 

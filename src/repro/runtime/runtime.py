@@ -280,6 +280,8 @@ class OmpSsRuntime:
             self.recorder = AccessRecorder()
         self.workers: list[Worker] = [Worker(d) for d in machine.devices]
         self._workers_by_name = {w.name: w for w in self.workers}
+        #: scheduler caches keyed on worker liveness (see liveness_changed)
+        self.liveness_caches: list[dict] = []
 
         #: cluster node layout, set via :meth:`enable_node_topology` by
         #: node-aware schedulers (typically during their ``bind``); None
@@ -487,6 +489,11 @@ class OmpSsRuntime:
         worker.enqueue(t)
         self._prepare_window(worker)
         self._try_start(worker)
+
+    def liveness_changed(self) -> None:
+        """A ``Worker.alive`` flag flipped (called before any requeue)."""
+        for cache in self.liveness_caches:
+            cache.clear()
 
     def enable_node_topology(self, layout) -> None:
         """Turn on cluster awareness (called by node-aware schedulers).

@@ -124,3 +124,65 @@ class TestAffinityPartition:
         p.note_assigned(_Task(_Access("x", 100, writes=True)), 2)
         # node 2 owns "x" but cannot run this task: fall back to load
         assert p.assign(_Task(_Access("x", 100)), 2, [0, 1], [4, 1]) == 1
+
+
+def _brute_force_assign(owner, t, allowed, loads):
+    """The affinity rule scored over every allowed node."""
+    score = {n: 0 for n in allowed}
+    for acc in t.accesses:
+        n = owner.get(acc.region.key)
+        if n in score:
+            score[n] += acc.region.nbytes
+    best = max(allowed, key=lambda n: (score[n], -n))
+    if score[best] > 0:
+        return best
+    return min(allowed, key=lambda n: (loads[n], n))
+
+
+class TestAffinityOracle:
+    """Owner-only scoring agrees with scoring every allowed node."""
+
+    def test_matches_brute_force_on_random_placements(self):
+        import random
+
+        rng = random.Random(1234)
+        ties = 0
+        for _ in range(5000):
+            n_nodes = rng.randint(1, 8)
+            p = AffinityPartition(n_nodes)
+            owner = {}
+            for key in range(rng.randint(0, 8)):
+                node = rng.randrange(n_nodes)
+                # zero-byte and equal-size regions make score ties common
+                p.note_assigned(_Task(_Access(key, 64, writes=True)), node)
+                owner[key] = node
+            allowed = sorted(rng.sample(range(n_nodes), rng.randint(1, n_nodes)))
+            loads = [rng.randint(0, 3) for _ in range(n_nodes)]
+            t = _Task(*(
+                _Access(rng.randrange(10), rng.choice((0, 64, 64, 128)))
+                for _ in range(rng.randint(0, 5))
+            ))
+            expected = _brute_force_assign(owner, t, allowed, loads)
+            scores = {}
+            for acc in t.accesses:
+                if owner.get(acc.region.key) in allowed:
+                    n = owner[acc.region.key]
+                    scores[n] = scores.get(n, 0) + acc.region.nbytes
+            top = max(scores.values(), default=0)
+            ties += top > 0 and sum(v == top for v in scores.values()) > 1
+            assert p.assign(t, 1, allowed, loads) == expected
+            assert p.assign(t, 1, allowed, dict(enumerate(loads))) == expected
+        # the sample must exercise the tie-break it checks
+        assert ties > 100
+
+    def test_score_tie_goes_to_lower_id(self):
+        p = AffinityPartition(4)
+        p.note_assigned(_Task(_Access("a", 64, writes=True)), 3)
+        p.note_assigned(_Task(_Access("b", 64, writes=True)), 1)
+        t = _Task(_Access("a", 64), _Access("b", 64))
+        assert p.assign(t, 1, [0, 1, 2, 3], [0, 0, 0, 0]) == 1
+
+    def test_zero_byte_ownership_falls_back_to_load(self):
+        p = AffinityPartition(3)
+        p.note_assigned(_Task(_Access("empty", 0, writes=True)), 2)
+        assert p.assign(_Task(_Access("empty", 0)), 1, [0, 1, 2], [2, 1, 1]) == 1

@@ -134,6 +134,15 @@ def _fault_plan(name: Optional[str]):
                 LinkDegradation(at_time=0.0, until=0.0004, bandwidth_factor=3.0),
             ),
         )
+    if name == "requeue-backlog":
+        # cluster4 devices: three transient faults stop running tasks on
+        # workers with nothing queued behind them while other nodes'
+        # pools are backed up, and node 1's GPU dies mid-run
+        return FaultPlan(
+            seed=7,
+            task_faults=(TaskFaultRule(at_starts=(100, 200, 300)),),
+            worker_failures=(WorkerFailure("n1gpu0", 0.001),),
+        )
     raise ValueError(f"unknown golden fault plan {name!r}")
 
 
@@ -318,6 +327,23 @@ CASES: tuple[GoldenCase, ...] = (
             "node_crashes", "node_rejoins", "evacuations", "regions_lost",
             "recompute_tasks",
         ),
+    ),
+    GoldenCase(
+        # reliable queues bounded at one: a requeue idles its worker
+        # while other pools are backed up, and idle nodes steal
+        id="matmul8-hyb-cluster-affinity-requeue-steal",
+        app="matmul",
+        app_args={"n_tiles": 8, "tile_size": 64, "variant": "hyb"},
+        scheduler="cluster",
+        scheduler_options={
+            "partition": "affinity",
+            "steal": True,
+            "inner_options": {"reliable_queue_bound": 1},
+            "protocol": {"ack_timeout": 0.0005},
+        },
+        machine="cluster4",
+        faults="requeue-backlog",
+        fires=("steals", "tasks_redispatched"),
     ),
 )
 
