@@ -24,10 +24,11 @@ checked against four safety/liveness properties:
 The checker drives the **real router** — not a re-model of it — through
 a fake runtime harness (deterministic engine, transfer engine that
 parks messages on a wire list, recording trace).  Exploration is
-replay-based breadth-first search: a state is the action sequence that
-produced it, re-executed from the root on expansion; canonical state
-fingerprints prune the search.  Violations come back with the full
-action trace rendered as an ASCII message sequence diagram.
+breadth-first search over action sequences: each frontier entry keeps
+its live state, a child is a clone of its parent plus one action, and
+canonical state fingerprints prune the search.  Violations come back
+with the full action trace rendered as an ASCII message sequence
+diagram.
 
 ``NotificationRetryExceededError`` is a *loud* failure (the run aborts
 with a diagnosis), so paths that exhaust the retransmit budget count as
@@ -36,16 +37,20 @@ aborted, not as violations.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import types
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from repro.cluster.protocol import (
     ClusterStats,
     NotificationRetryExceededError,
     NotificationRouter,
     ProtocolConfig,
+    _Message,
 )
 from repro.sanitizer.diagnostics import Diagnostic
 
@@ -146,7 +151,7 @@ def ablation_scenario() -> Scenario:
 # Fake runtime harness
 # ----------------------------------------------------------------------
 class _FakeEvent:
-    __slots__ = ("eid", "time", "fn", "kind", "label", "cancelled")
+    __slots__ = ("eid", "time", "fn", "kind", "label", "cancelled", "key")
 
     def __init__(self, eid: int, time: float, fn: Callable[[], None],
                  kind: object, label: str) -> None:
@@ -156,9 +161,23 @@ class _FakeEvent:
         self.kind = kind
         self.label = label
         self.cancelled = False
+        #: what the state fingerprint records of a live event
+        self.key = (str(kind), label)
 
     def cancel(self) -> None:
         self.cancelled = True
+
+    def clone(self, memo: dict) -> "_FakeEvent":
+        new = object.__new__(_FakeEvent)
+        memo[id(self)] = new  # before the callback: it may point back here
+        new.eid = self.eid
+        new.time = self.time
+        new.fn = _remap(self.fn, memo)
+        new.kind = self.kind
+        new.label = self.label
+        new.cancelled = self.cancelled
+        new.key = self.key
+        return new
 
 
 class _FakeEngine:
@@ -166,14 +185,26 @@ class _FakeEngine:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._ids = itertools.count(1)
+        self.next_id = 1
         self.events: dict[int, _FakeEvent] = {}
 
     def schedule(self, time: float, fn: Callable[[], None], *,
                  kind: object = None, label: str = "") -> _FakeEvent:
-        ev = _FakeEvent(next(self._ids), time, fn, kind, label)
+        ev = _FakeEvent(self.next_id, time, fn, kind, label)
+        self.next_id += 1
         self.events[ev.eid] = ev
         return ev
+
+    def clone(self, memo: dict) -> "_FakeEngine":
+        """Copy holding the live events (cancelled ones can never fire)."""
+        new = _FakeEngine()
+        new.now = self.now
+        new.next_id = self.next_id
+        new.events = {
+            eid: _remap(ev, memo)
+            for eid, ev in self.events.items() if not ev.cancelled
+        }
+        return new
 
     def live_events(self) -> list[_FakeEvent]:
         return [e for e in self.events.values() if not e.cancelled]
@@ -206,6 +237,13 @@ class _WireMessage:
         return (self.category, self.src_host, self.dst_host, self.label,
                 self.meta, self.dups_used)
 
+    def clone(self, memo: dict) -> "_WireMessage":
+        new = _WireMessage(self.wid, self.src_host, self.dst_host,
+                           self.nbytes, self.label, self.meta, self.category,
+                           _remap(self.on_deliver, memo))
+        new.dups_used = self.dups_used
+        return new
+
 
 class _FakeTransferEngine:
     """Parks every message on a wire list; the adversary delivers/drops."""
@@ -214,16 +252,23 @@ class _FakeTransferEngine:
 
     def __init__(self, engine: _FakeEngine) -> None:
         self.engine = engine
-        self._ids = itertools.count(1)
+        self.next_id = 1
         self.wire: dict[int, _WireMessage] = {}
 
     def send_message(self, src_host: str, dst_host: str, nbytes: int, *,
                      label: str = "", meta: tuple = (), category: str = "msg",
                      on_deliver: Optional[Callable[[], None]] = None) -> float:
-        msg = _WireMessage(next(self._ids), src_host, dst_host, nbytes,
+        msg = _WireMessage(self.next_id, src_host, dst_host, nbytes,
                            label, tuple(meta), category, on_deliver)
+        self.next_id += 1
         self.wire[msg.wid] = msg
         return self.engine.now + self.WIRE_LATENCY
+
+    def clone(self, engine: _FakeEngine, memo: dict) -> "_FakeTransferEngine":
+        new = _FakeTransferEngine(engine)
+        new.next_id = self.next_id
+        new.wire = {wid: m.clone(memo) for wid, m in self.wire.items()}
+        return new
 
 
 class _FakeTrace:
@@ -241,6 +286,80 @@ class _FakeRuntime:
         self.transfer_engine = _FakeTransferEngine(self.engine)
         self.trace = _FakeTrace()
         self._local_ids: dict[int, int] = {}
+
+    def clone(self, memo: dict) -> "_FakeRuntime":
+        new = _shallow(self)
+        memo[id(self)] = new
+        new.engine = self.engine.clone(memo)
+        new.transfer_engine = self.transfer_engine.clone(new.engine, memo)
+        new.trace = _FakeTrace()
+        new.trace.records = list(self.trace.records)
+        return new
+
+
+_T = TypeVar("_T")
+
+
+def _shallow(obj: _T) -> _T:
+    """``copy.copy`` for a plain instance, without the reduce protocol."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__)
+    return new
+
+
+def _remap(obj: Any, memo: dict) -> Any:
+    """``obj`` as seen from a clone of the harness.
+
+    ``memo`` maps ``id()`` of an original object to its copy.  Router
+    messages and fake events are copied on first sight, and closures
+    (the router's wire and timer callbacks) are rebuilt over remapped
+    captured objects; anything else is shared (immutable in practice).
+    """
+    new = memo.get(id(obj))
+    if new is not None:
+        return new
+    cls = type(obj)
+    if cls is types.FunctionType:
+        closure = obj.__closure__
+        defaults = obj.__defaults__
+        if closure is None and defaults is None:
+            return obj
+        if closure is not None:
+            closure = tuple([
+                types.CellType(v) for v in _remap_each(
+                    [cell.cell_contents for cell in closure], memo)
+            ])
+        if defaults is not None:
+            defaults = tuple(_remap_each(defaults, memo))
+        new = types.FunctionType(obj.__code__, obj.__globals__,
+                                 obj.__name__, defaults, closure)
+    elif cls is _Message:
+        new = _shallow(obj)
+        memo[id(obj)] = new
+        if obj.timer is not None:
+            new.timer = _remap(obj.timer, memo)
+        return new
+    elif cls is _FakeEvent:
+        return obj.clone(memo)
+    else:
+        return obj
+    memo[id(obj)] = new
+    return new
+
+
+_ATOMIC = frozenset((int, float, str, bool, type(None)))
+
+
+def _remap_each(values: Sequence, memo: dict) -> list:
+    """``[_remap(v, memo) for v in values]``, short-cutting the common
+    cases (already copied, or an immutable scalar)."""
+    out = []
+    for old in values:
+        new = memo.get(id(old))
+        if new is None:
+            new = old if type(old) in _ATOMIC else _remap(old, memo)
+        out.append(new)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -283,6 +402,17 @@ class ExplorationResult:
         return not self.violations and not self.truncated
 
 
+#: the instance attributes of a router that :meth:`_Harness.clone`
+#: knows how to copy; a router holding any other state is refused
+_ROUTER_ATTRS = frozenset({
+    "rt", "stats", "message_bytes", "config", "host_of_node",
+    "_pending", "_cleared", "_next_seq", "_inflight", "_received",
+    "_recv_floor", "_epoch", "diagnostics", "_msg_ids",
+    # installed by the harness
+    "on_clear", "resolve_node", "_deliver_logical", "_on_wire_delivered",
+})
+
+
 class _Harness:
     """One live instance of a scenario driving the real router."""
 
@@ -302,7 +432,6 @@ class _Harness:
         self.placement: dict[int, int] = {
             uid: dst for _, dst, uid in scenario.sends
         }
-        self.router.resolve_node = lambda uid: self.placement.get(uid, 0)
 
         self.sends_used = [False] * len(scenario.sends)
         self.drops_left = scenario.max_drops
@@ -320,77 +449,126 @@ class _Harness:
         self.aborted = False
 
         self._install_spies()
+        unknown = set(vars(self.router)) - _ROUTER_ATTRS
+        if unknown:
+            raise TypeError(
+                f"{type(self.router).__name__} holds state the model "
+                f"checker cannot clone: {sorted(unknown)}")
         if not scenario.interleave_sends:
             for k in range(len(scenario.sends)):
                 self._do_send(k)
 
     # -- property spies -------------------------------------------------
     def _install_spies(self) -> None:
+        # instance attributes shadow the router's class methods
         router = self.router
-        orig_deliver = router._deliver_logical
-        orig_wire = router._on_wire_delivered
-        orig_clear = router.on_clear
+        router._deliver_logical = self._deliver_spy
+        router._on_wire_delivered = self._wire_spy
+        router.on_clear = self._clear_spy
+        router.resolve_node = self._resolve_node
 
-        def deliver_spy(msg):  # instance attr shadows the class method
-            uid = msg.succ_uid
-            before = router.pending(uid)
-            self.delivered.setdefault(uid, set()).add(
-                (msg.src_node, msg.seq))
-            self._note(
-                self.placement.get(uid, msg.dst_node),
-                f"apply uid={uid} seq={msg.seq} (pending {before})",
+    def _resolve_node(self, uid: int) -> int:
+        return self.placement.get(uid, 0)
+
+    def _deliver_spy(self, msg) -> None:
+        router = self.router
+        uid = msg.succ_uid
+        before = router.pending(uid)
+        self.delivered.setdefault(uid, set()).add((msg.src_node, msg.seq))
+        self._note(
+            self.placement.get(uid, msg.dst_node),
+            f"apply uid={uid} seq={msg.seq} (pending {before})",
+        )
+        type(router)._deliver_logical(router, msg)
+
+    def _wire_spy(self, msg, dst_node: int) -> None:
+        router = self.router
+        stale = router.epoch(msg.src_node) != msg.epoch
+        seen = {k: set(v) for k, v in self.delivered.items()}
+        type(router)._on_wire_delivered(router, msg, dst_node)
+        if stale:
+            applied = any(
+                v - seen.get(k, set()) for k, v in self.delivered.items()
             )
-            return orig_deliver(msg)
-
-        def wire_spy(msg, dst_node):
-            stale = router.epoch(msg.src_node) != msg.epoch
-            seen = {
-                k: set(v) for k, v in self.delivered.items()
-            }
-            result = orig_wire(msg, dst_node)
-            if stale:
-                applied = any(
-                    v - seen.get(k, set())
-                    for k, v in self.delivered.items()
+            if applied:
+                self._violate(
+                    "SAN-P003",
+                    f"stale-epoch message applied: node {msg.src_node} "
+                    f"seq {msg.seq} was sent in epoch {msg.epoch} but "
+                    f"the node is now at epoch "
+                    f"{router.epoch(msg.src_node)}",
                 )
-                if applied:
-                    self._violate(
-                        "SAN-P003",
-                        f"stale-epoch message applied: node {msg.src_node} "
-                        f"seq {msg.seq} was sent in epoch {msg.epoch} but "
-                        f"the node is now at epoch "
-                        f"{router.epoch(msg.src_node)}",
-                    )
-            return result
 
-        def clear_spy(uid):
-            self.clears[uid] = self.clears.get(uid, 0) + 1
-            self._note(
-                self.placement.get(uid, 0),
-                f"on_clear uid={uid} (release #{self.clears[uid]})",
+    def _clear_spy(self, uid: int) -> None:
+        self.clears[uid] = self.clears.get(uid, 0) + 1
+        self._note(
+            self.placement.get(uid, 0),
+            f"on_clear uid={uid} (release #{self.clears[uid]})",
+        )
+        if self.clears[uid] > self.opportunities.get(uid, 0):
+            self._violate(
+                "SAN-P001",
+                f"on_clear fired {self.clears[uid]} times for "
+                f"successor uid={uid} with only "
+                f"{self.opportunities.get(uid, 0)} release "
+                "opportunities (double release)",
             )
-            if self.clears[uid] > self.opportunities.get(uid, 0):
-                self._violate(
-                    "SAN-P001",
-                    f"on_clear fired {self.clears[uid]} times for "
-                    f"successor uid={uid} with only "
-                    f"{self.opportunities.get(uid, 0)} release "
-                    "opportunities (double release)",
-                )
-            issued = self.sends_issued.get(uid, 0)
-            distinct = len(self.delivered.get(uid, ()))
-            if distinct < issued:
-                self._violate(
-                    "SAN-P004",
-                    f"on_clear fired for successor uid={uid} after only "
-                    f"{distinct} of {issued} distinct notifications were "
-                    "delivered (premature release)",
-                )
-            return orig_clear(uid)
+        issued = self.sends_issued.get(uid, 0)
+        distinct = len(self.delivered.get(uid, ()))
+        if distinct < issued:
+            self._violate(
+                "SAN-P004",
+                f"on_clear fired for successor uid={uid} after only "
+                f"{distinct} of {issued} distinct notifications were "
+                "delivered (premature release)",
+            )
 
-        router._deliver_logical = deliver_spy
-        router._on_wire_delivered = wire_spy
-        router.on_clear = clear_spy
+    # -- cloning --------------------------------------------------------
+    def clone(self) -> "_Harness":
+        """An independent copy of this state, one ``apply`` away from a
+        child — the same state a replay of this harness's path builds."""
+        new = _shallow(self)
+        r = self.router
+        nr = _shallow(r)
+        memo: dict = {id(self): new, id(r): nr}
+        new.rt = nr.rt = self.rt.clone(memo)
+        new.stats = nr.stats = _shallow(self.stats)
+        new.router = nr
+        nr._pending = dict(r._pending)
+        nr._cleared = set(r._cleared)
+        nr._next_seq = dict(r._next_seq)
+        nr._inflight = {
+            mid: _remap(m, memo) for mid, m in r._inflight.items()
+        }
+        nr._received = {k: set(v) for k, v in r._received.items()}
+        nr._recv_floor = dict(r._recv_floor)
+        nr._epoch = dict(r._epoch)
+        nr.diagnostics = list(r.diagnostics)
+        # an itertools.count cannot be read without advancing it: take
+        # the next id and restart both counters there
+        next_mid = next(r._msg_ids)
+        r._msg_ids = itertools.count(next_mid)
+        nr._msg_ids = itertools.count(next_mid)
+        new._install_spies()
+
+        new.placement = dict(self.placement)
+        new.sends_used = list(self.sends_used)
+        new.crashed = set(self.crashed)
+        new.sends_issued = dict(self.sends_issued)
+        new.delivered = {k: set(v) for k, v in self.delivered.items()}
+        new.clears = dict(self.clears)
+        new.opportunities = dict(self.opportunities)
+        new.timeline = list(self.timeline)
+        new.violations = list(self.violations)
+        return new
+
+    def dispose(self) -> None:
+        """Break this state's reference cycles (router <-> spies, router
+        <-> its callbacks, message <-> its timer) so that refcounting
+        frees it at once; the harness is unusable afterwards."""
+        for ev in self.rt.engine.events.values():
+            ev.fn = None
+        self.router.__dict__.clear()
 
     # -- timeline helpers ----------------------------------------------
     def _note(self, node: int, text: str) -> None:
@@ -537,7 +715,7 @@ class _Harness:
             m.key() for m in self.rt.transfer_engine.wire.values()
         ))
         events = tuple(sorted(
-            (str(e.kind), e.label) for e in self.rt.engine.live_events()
+            e.key for e in self.rt.engine.events.values() if not e.cancelled
         ))
         inflight = tuple(sorted(
             (m.src_node, m.seq, m.attempts, m.acked, m.abandoned,
@@ -572,17 +750,22 @@ class _Harness:
 # ----------------------------------------------------------------------
 # Explorer
 # ----------------------------------------------------------------------
-def _replay(
-    scenario: Scenario,
-    router_factory: Optional[Callable[..., NotificationRouter]],
-    path: Sequence[tuple],
-) -> _Harness:
-    h = _Harness(scenario, router_factory)
-    for action in path:
-        if h.violations or h.aborted:
-            break
-        h.apply(action)
-    return h
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector, restoring its prior state.
+
+    The explorer disposes of every state it is done with (see
+    :meth:`_Harness.dispose`), so refcounting frees them and the search
+    leaves no cyclic garbage behind; left running, the collector would
+    rescan the live frontier over and over.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def explore(
@@ -594,7 +777,9 @@ def explore(
     Breadth-first over action sequences with canonical-state pruning,
     so the first counterexample found per property is (close to)
     minimal.  Paths that already violated a property or aborted are not
-    expanded further.
+    expanded further.  A frontier entry holds its state next to its
+    path: each child is a clone of its parent plus one action, and the
+    last child takes over the parent's state.
     """
     violations: dict[str, Violation] = {}
     states = 0
@@ -603,45 +788,53 @@ def explore(
 
     root = _Harness(scenario, router_factory)
     visited = {root.fingerprint()}
-    frontier: deque = deque([()])
+    frontier: deque = deque([((), root)])
 
-    while frontier:
-        if states >= scenario.max_states:
-            truncated = True
-            break
-        path = frontier.popleft()
-        h = _replay(scenario, router_factory, path)
-        states += 1
-        if h.violations:
-            for v in h.violations:
-                if v.code not in violations:
-                    violations[v.code] = replace(v, path=tuple(path))
-            continue
-        if h.aborted:
-            aborted += 1
-            continue
-        acts = h.enabled()
-        if not acts:
-            h.check_quiescent()
-            for v in h.violations:
-                if v.code not in violations:
-                    violations[v.code] = replace(v, path=tuple(path))
-            continue
-        for action in acts:
-            child = tuple(path) + (action,)
-            ch = _replay(scenario, router_factory, child)
-            fp = ch.fingerprint()
-            if fp in visited:
-                # a violating/aborted replay stops early, so its
-                # fingerprint may collide with the pre-action state;
-                # still must surface the violation
+    with _cyclic_gc_paused():
+        while frontier:
+            if states >= scenario.max_states:
+                truncated = True
+                break
+            path, h = frontier.popleft()
+            states += 1
+            if h.violations:
+                for v in h.violations:
+                    if v.code not in violations:
+                        violations[v.code] = replace(v, path=path)
+                h.dispose()
+                continue
+            if h.aborted:
+                aborted += 1
+                h.dispose()
+                continue
+            acts = h.enabled()
+            if not acts:
+                h.check_quiescent()
+                for v in h.violations:
+                    if v.code not in violations:
+                        violations[v.code] = replace(v, path=path)
+                h.dispose()
+                continue
+            last = len(acts) - 1
+            for i, action in enumerate(acts):
+                child = path + (action,)
+                ch = h if i == last else h.clone()
+                ch.apply(action)
+                fp = ch.fingerprint()
+                if fp not in visited:
+                    visited.add(fp)
+                    frontier.append((child, ch))
+                    continue
                 if ch.violations:
+                    # violations are not part of the fingerprint, so a
+                    # violating child may collide with a state seen
+                    # before; still must surface the violation
                     for v in ch.violations:
                         if v.code not in violations:
                             violations[v.code] = replace(v, path=child)
-                continue
-            visited.add(fp)
-            frontier.append(child)
+                ch.dispose()
+        for _, h in frontier:  # left over when truncated
+            h.dispose()
 
     ordered = [violations[c] for c in PROPERTY_CODES if c in violations]
     return ExplorationResult(

@@ -1,9 +1,11 @@
 """Tests for the bounded protocol model checker (SAN-P001..P004)."""
 
+import random
 import time
 
 import pytest
 
+from repro.cluster.protocol import NotificationRouter
 from repro.sanitizer.static import (
     ablation_scenario,
     check_protocol,
@@ -11,6 +13,7 @@ from repro.sanitizer.static import (
     explore,
     render_msc,
 )
+from repro.sanitizer.static.modelcheck import _Harness
 
 from .fixtures.broken_routers import (
     DoubleReleaseRouter,
@@ -39,6 +42,56 @@ class TestShippedRouter:
         res = explore(SCENARIOS["sender-crash-recovery"])
         assert res.ok and not res.truncated
         assert res.states > 0
+
+
+class TestExploration:
+    @pytest.mark.parametrize("name, states", [
+        ("one-edge-lossy", 133),
+        ("two-preds-one-succ", 8792),
+        ("sender-crash-recovery", 114),
+    ])
+    def test_state_counts(self, name, states):
+        res = explore(SCENARIOS[name])
+        assert res.ok
+        assert res.states == states
+
+    @pytest.mark.parametrize("name", [
+        "two-preds-one-succ", "sender-crash-recovery", "three-node-crash",
+    ])
+    def test_clone_plus_action_equals_replay(self, name):
+        # along seeded random paths, a clone plus one action must reach
+        # the state a fresh replay of the whole path reaches, and must
+        # leave the state it was cloned from untouched
+        scenario = SCENARIOS[name]
+        rng = random.Random(7)
+        for _ in range(15):
+            h = _Harness(scenario)
+            path = []
+            while not (h.violations or h.aborted) and h.enabled():
+                action = rng.choice(h.enabled())
+                before = h.fingerprint()
+                child = h.clone()
+                child.apply(action)
+                path.append(action)
+                fresh = _Harness(scenario)
+                for a in path:
+                    fresh.apply(a)
+                assert h.fingerprint() == before
+                assert child.fingerprint() == fresh.fingerprint()
+                assert child.timeline == fresh.timeline
+                assert child.rt.trace.records == fresh.rt.trace.records
+                assert child.router.stats == fresh.router.stats
+                h = child
+
+    def test_router_with_unknown_state_is_refused(self):
+        class StatefulRouter(NotificationRouter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.log = []
+
+        with pytest.raises(TypeError, match="cannot clone.*'log'"):
+            explore(SCENARIOS["one-edge-lossy"],
+                    router_factory=StatefulRouter)
 
 
 class TestBrokenRouters:
