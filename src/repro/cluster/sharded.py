@@ -40,6 +40,7 @@ from repro.runtime.task import TaskInstance, TaskVersion
 from repro.schedulers.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.profile import VersionProfileTable
     from repro.runtime.runtime import OmpSsRuntime
     from repro.runtime.worker import Worker
 
@@ -110,9 +111,12 @@ class ShardedClusterScheduler(Scheduler):
         self.layout = None
         # capability caching: node -> kind bitmask of its live workers,
         # and task definition -> capable-node tuple.  Both are pure
-        # functions of worker liveness, so they are rebuilt lazily after
-        # every liveness change (worker_down/up, node_down/up) —
-        # capability scans were a top frame of the 16-node profile.
+        # functions of worker liveness, rebuilt lazily after it changes —
+        # capability scans were a top frame of the 16-node profile.  The
+        # kind masks are a runtime liveness cache, cleared where an
+        # ``alive`` flag flips (before any requeued task reaches
+        # task_ready); the capable-node tuples are cleared by the
+        # liveness hooks (worker_down/up, node_down/up).
         self._alive_kinds: dict[int, int] = {}
         self._capable_cache: dict[object, tuple[int, ...]] = {}
         # per-node bound pool_size methods (see _refresh_pool_fns)
@@ -156,19 +160,21 @@ class ShardedClusterScheduler(Scheduler):
         self.router.host_of_node = dict(layout.host_of_node)
         self.router.resolve_node = lambda uid: self.shard_of.get(uid, 0)
         self.stats.tasks_per_node = {n: 0 for n in layout.nodes()}
+        self._alive_kinds.clear()
+        runtime.liveness_caches.append(self._alive_kinds)
 
     # ------------------------------------------------------------------
     # Shard assignment
     # ------------------------------------------------------------------
     def _liveness_changed(self) -> None:
-        """Invalidate capability caches (a worker died/revived or a node
-        crashed/rejoined); the next steal check must scan."""
-        self._alive_kinds.clear()
+        """Invalidate the capable-node cache (a worker died/revived or a
+        node crashed/rejoined); the next steal check must scan."""
         self._capable_cache.clear()
         self._steal_dirty = True
 
     def _node_alive_kinds(self, node: int) -> int:
-        """Kind bitmask of the node's live workers (cached per liveness)."""
+        """Kind bitmask of the node's live workers, non-zero iff one is
+        alive (cached until an ``alive`` flag flips)."""
         kinds = self._alive_kinds.get(node)
         if kinds is None:
             kinds = 0
@@ -276,7 +282,7 @@ class ShardedClusterScheduler(Scheduler):
         invokes the ``worker_down`` hook that evacuates the node, and
         buffered tasks whose node died while their notifications were
         still in flight."""
-        if self.n_nodes == 1 or any(w.alive for w in self.node_workers[node]):
+        if self.n_nodes == 1 or self._node_alive_kinds(node):
             return node
         return self._rehome(t, node)
 
@@ -374,7 +380,7 @@ class ShardedClusterScheduler(Scheduler):
         if (
             self.n_nodes > 1
             and node not in self._dead_nodes  # node_down already evacuated
-            and not any(w.alive for w in self.node_workers[node])
+            and not self._node_alive_kinds(node)
         ):
             self._evacuate(node)
 
@@ -382,6 +388,10 @@ class ShardedClusterScheduler(Scheduler):
         self._liveness_changed()
         self.inner[self._node_of(worker)].worker_up(worker)
         self._maybe_steal()
+
+    def profile_table(self, worker: "Worker") -> Optional["VersionProfileTable"]:
+        # each node's inner scheduler learns its own table
+        return self.inner[self._node_of(worker)].profile_table(worker)
 
     # ------------------------------------------------------------------
     # Node crash / rejoin

@@ -85,18 +85,23 @@ class TaskWatchdog:
         return self.manager.rt
 
     # ------------------------------------------------------------------
-    def deadline_for(self, t: "TaskInstance", nominal: float) -> tuple[float, str]:
-        """The deadline (seconds after start) for one execution of ``t``.
+    def deadline_for(
+        self, t: "TaskInstance", worker: "Worker", nominal: float
+    ) -> tuple[float, str]:
+        """The deadline (seconds after start) for one execution of ``t``
+        on ``worker``.
 
-        Returns ``(deadline, source)``.  ``nominal`` is the runtime's
-        own duration estimate (device cost model), the fallback of last
-        resort when no profile exists at all.
+        Returns ``(deadline, source)``.  The profile comes from the
+        table that times executions on ``worker`` (on a cluster, its
+        node's).  ``nominal`` is the runtime's own duration estimate
+        (device cost model), the fallback of last resort when no
+        profile exists at all.
         """
         policy = self.policy
         mean: Optional[float] = None
         sigma: Optional[float] = None
         samples = 0
-        table = getattr(self.rt.scheduler, "table", None) if self.rt else None
+        table = self.rt.scheduler.profile_table(worker) if self.rt else None
         if table is not None and t.chosen_version is not None:
             profile = table.group(t.name, t.data_bytes).profile(t.chosen_version.name)
             mean = profile.mean_time
@@ -114,7 +119,7 @@ class TaskWatchdog:
         """Schedule the deadline for an execution that just started."""
         rt = self.rt
         assert rt is not None
-        deadline, source = self.deadline_for(t, nominal)
+        deadline, source = self.deadline_for(t, worker, nominal)
         self.armed_log.append((t.label, deadline, source))
         self._events[t.uid] = rt.engine.schedule(
             rt.engine.now + deadline,

@@ -41,6 +41,7 @@ from repro.resilience.recovery import (
 from repro.runtime import context
 from repro.runtime.dataregion import DataRegion
 from repro.runtime.dependences import DependenceGraph
+from repro.runtime.gcpause import CyclicGCPause
 from repro.runtime.task import TaskInstance, TaskState, TaskVersion
 from repro.runtime.worker import Worker
 from repro.sim.engine import EventKind, SimEngine
@@ -237,6 +238,9 @@ class OmpSsRuntime:
             for ...: some_task(...)
             rt.taskwait()
         result = rt.result()
+
+    The cyclic garbage collector is paused from entry to exit (see
+    :mod:`repro.runtime.gcpause`).
     """
 
     def __init__(
@@ -326,6 +330,7 @@ class OmpSsRuntime:
                 stall_limit=self.config.progress_stall_limit,
             )
         self._closed = False
+        self._gc_pause = CyclicGCPause()
 
     # ------------------------------------------------------------------
     # Master-thread interface
@@ -334,12 +339,18 @@ class OmpSsRuntime:
         if self._closed:
             raise RuntimeError("runtime already finished; create a new one")
         context.push_runtime(self)
+        # the run frees nothing cyclic, so the collector would only
+        # rescan its live objects (see repro.runtime.gcpause)
+        self._gc_pause.__enter__()
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        context.pop_runtime(self)
-        if exc_type is None:
-            self.wait_all()
+        try:
+            context.pop_runtime(self)
+            if exc_type is None:
+                self.wait_all()
+        finally:
+            self._gc_pause.__exit__()
 
     def submit(self, t: TaskInstance) -> None:
         """Submit one task instance (called by the ``@task`` wrapper).

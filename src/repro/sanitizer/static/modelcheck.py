@@ -37,11 +37,9 @@ aborted, not as violations.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import types
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
@@ -52,6 +50,7 @@ from repro.cluster.protocol import (
     ProtocolConfig,
     _Message,
 )
+from repro.runtime.gcpause import CyclicGCPause
 from repro.sanitizer.diagnostics import Diagnostic
 
 #: ordering of property codes in reports
@@ -750,24 +749,6 @@ class _Harness:
 # ----------------------------------------------------------------------
 # Explorer
 # ----------------------------------------------------------------------
-@contextmanager
-def _cyclic_gc_paused():
-    """Pause the cyclic garbage collector, restoring its prior state.
-
-    The explorer disposes of every state it is done with (see
-    :meth:`_Harness.dispose`), so refcounting frees them and the search
-    leaves no cyclic garbage behind; left running, the collector would
-    rescan the live frontier over and over.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def explore(
     scenario: Scenario,
     router_factory: Optional[Callable[..., NotificationRouter]] = None,
@@ -790,7 +771,9 @@ def explore(
     visited = {root.fingerprint()}
     frontier: deque = deque([((), root)])
 
-    with _cyclic_gc_paused():
+    # every state is disposed once expanded (see _Harness.dispose), so
+    # the search leaves no cyclic garbage for the collector to find
+    with CyclicGCPause():
         while frontier:
             if states >= scenario.max_states:
                 truncated = True

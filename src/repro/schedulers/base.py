@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.runtime.task import TaskDefinition, TaskInstance, TaskVersion
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.profile import VersionProfileTable
     from repro.runtime.runtime import OmpSsRuntime
     from repro.runtime.worker import Worker
 
@@ -116,6 +117,12 @@ class Scheduler:
     def worker_up(self, worker: "Worker") -> None:
         """A quarantined worker was re-admitted; pool-based policies
         should re-pump so waiting tasks can use it."""
+
+    def profile_table(self, worker: "Worker") -> Optional["VersionProfileTable"]:
+        """The learned profile table that times executions on
+        ``worker`` (the straggler watchdog's deadline source), or None
+        for a policy that learns none."""
+        return getattr(self, "table", None)
 
     # ------------------------------------------------------------------
     # Helpers shared by the non-versioning policies

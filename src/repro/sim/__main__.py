@@ -4,13 +4,18 @@
     cProfile one of the throughput-bench workloads (default the 16-node
     sharded matmul acceptance workload) and print the hottest frames by
     total time.  This is the supported way to find the next frame to
-    flatten — see DESIGN.md §17.
+    flatten — see DESIGN.md §17.  Next to the event and task counts it
+    prints the cyclic collector's work during the profile (collections
+    per generation, their time, objects found), which cProfile charges
+    to whichever frame happened to allocate.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+import time
 
 
 def _bench_workloads():
@@ -38,6 +43,29 @@ def _bench_workloads():
     )
 
 
+class _CollectorLog:
+    """The cyclic collector's work, seen through ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self.found = 0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+            return
+        self.seconds += time.perf_counter() - self._start
+        self.collections[info["generation"]] += 1
+        self.found += info["collected"] + info["uncollectable"]
+
+    def summary(self) -> str:
+        per_gen = "/".join(str(n) for n in self.collections)
+        return (f"[gc: {per_gen} collections (gen 0/1/2), "
+                f"{self.seconds * 1e3:.1f} ms, {self.found} objects found]")
+
+
 def _cmd_profile(workload: str, top: int) -> int:
     import cProfile
     import pstats
@@ -49,13 +77,19 @@ def _cmd_profile(workload: str, top: int) -> int:
               file=sys.stderr)
         return 2
     print(f"[profiling {workload}]", file=sys.stderr)
+    collector = _CollectorLog()
+    gc.callbacks.append(collector)
     prof = cProfile.Profile()
     prof.enable()
-    events, tasks = fn()
-    prof.disable()
+    try:
+        events, tasks = fn()
+    finally:
+        prof.disable()
+        gc.callbacks.remove(collector)
     stats = pstats.Stats(prof, stream=sys.stdout)
     stats.sort_stats("tottime").print_stats(top)
     print(f"[{events} events, {tasks} tasks]", file=sys.stderr)
+    print(collector.summary(), file=sys.stderr)
     return 0
 
 

@@ -10,9 +10,11 @@ speculation off stalls (progress-watchdog abort) or degrades past 10x.
 import pytest
 
 from repro import FaultPlan, OmpSsRuntime, RecoveryPolicy, TaskFaultRule
+from repro.apps.matmul import MatmulApp
 from repro.resilience.faults import HangRule, WorkerSlowdown
 from repro.resilience.watchdog import ProgressStallError, ProgressWatchdog
 from repro.runtime.runtime import RuntimeConfig
+from repro.sim.topology import cluster_machine
 from repro.store import ProfileStore
 from tests.conftest import make_machine, make_two_version_task, region
 
@@ -189,6 +191,33 @@ class TestSpeculation:
         # per-task budget: each task speculated at most once
         per_task = [r.meta[0] for r in spec]
         assert len(per_task) == len(set(per_task))
+        res.validate()
+
+
+class TestClusterDeadlines:
+    def test_deadlines_come_from_the_node_profile_table(self):
+        # each node's inner scheduler learns its own table, and a task's
+        # deadline comes from the table of the node it runs on.  With
+        # grace 1 and k 0, a profile deadline fires on any execution
+        # slower than its mean, so copies launch; the cold deadline (8x
+        # nominal) would never fire under a 2x slowdown
+        app = MatmulApp(n_tiles=6, tile_size=64, variant="hyb")
+        m = cluster_machine(4, smp_per_node=2, gpus_per_node=1,
+                            noise_cv=0.02, seed=7)
+        app.register_cost_models(m)
+        plan = FaultPlan(seed=3, slowdowns=(WorkerSlowdown("n0gpu0", 0.0001, 2.0),))
+        policy = RecoveryPolicy(speculate=True, deadline_grace=1.0,
+                                deadline_k=0.0)
+        rt = OmpSsRuntime(m, "cluster",
+                          scheduler_options={"protocol": {"ack_timeout": 0.0005}},
+                          fault_plan=plan, recovery=policy)
+        with rt:
+            app.master(rt)
+        res = rt.result()
+        assert res.tasks_completed == 216
+        sources = [src for _, _, src in rt.resilience.watchdog.armed_log]
+        assert "profile" in sources and "cold" in sources
+        assert res.resilience.speculations_launched >= 1
         res.validate()
 
 
