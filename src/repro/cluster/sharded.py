@@ -50,12 +50,17 @@ class NodeRuntimeView:
 
     Everything delegates to the real runtime except ``workers``, which
     is restricted to the node's own devices — an inner scheduler can
-    only place work on its shard's node.
+    only place work on its shard's node.  ``engine`` and ``dispatch``,
+    read on every pass of the inner schedulers' pumps, are bound once
+    here (the runtime never rebinds them) instead of going through
+    ``__getattr__``.
     """
 
     def __init__(self, rt: "OmpSsRuntime", workers: "list[Worker]") -> None:
         self._rt = rt
         self.workers = workers
+        self.engine = rt.engine
+        self.dispatch = rt.dispatch
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._rt, name)
@@ -392,6 +397,18 @@ class ShardedClusterScheduler(Scheduler):
     def profile_table(self, worker: "Worker") -> Optional["VersionProfileTable"]:
         # each node's inner scheduler learns its own table
         return self.inner[self._node_of(worker)].profile_table(worker)
+
+    def estimated_busy_time(self, worker: "Worker") -> Optional[float]:
+        # and keeps the busy estimates of its own workers
+        return self.inner[self._node_of(worker)].estimated_busy_time(worker)
+
+    def speculation_workers(
+        self, version: TaskVersion, straggler: "Worker"
+    ) -> list["Worker"]:
+        # a copy stays on its original's node, whose shard owns the task.
+        # Placed cluster-wide, the copies of two hung originals can each
+        # queue behind the other's hang and neither ever starts
+        return self.inner[self._node_of(straggler)].capable_workers(version)
 
     # ------------------------------------------------------------------
     # Node crash / rejoin

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.resilience.faults import FaultPlan
 from repro.resilience.watchdog import TaskWatchdog
@@ -579,30 +579,45 @@ class ResilienceManager:
     ) -> Optional[tuple]:
         """Best (version, worker) pair for a speculative copy of ``t``.
 
-        The straggling worker itself is excluded (it is serial — a copy
-        queued behind a hung execution would never start), as are dead
-        and quarantined workers and every pair the task already faulted
-        on.  Among the rest, minimise estimated-busy-time + version mean
-        (the earliest-executor rule), falling back to queue load for
-        schedulers without estimates.
+        Candidates are the workers the scheduler lets a copy run on
+        (:meth:`~repro.schedulers.base.Scheduler.speculation_workers`;
+        on a cluster, the straggler's own node).  The straggling worker
+        itself is excluded (it is serial — a copy queued behind a hung
+        execution would never start), as are dead and quarantined
+        workers and every pair the task already faulted on.  Among the
+        rest, minimise estimated-busy-time + version mean (the
+        earliest-executor rule), falling back to queue load for
+        schedulers without estimates.  Both terms come from the
+        scheduler that places work on the candidate worker: on a
+        cluster, the busy estimate and the profile table of its node.
         """
         rt = self.rt
         assert rt is not None and t.chosen_version is not None
         scheduler = rt.scheduler
         now = rt.engine.now
-        table = getattr(scheduler, "table", None)
-        group = table.group(t.name, t.data_bytes) if table is not None else None
-        est_busy = getattr(scheduler, "estimated_busy_time", None)
+        groups: dict[int, Any] = {}  # id(profile table) -> t's size group
+
+        def mean_on(w: "Worker", version: TaskVersion) -> Optional[float]:
+            table = scheduler.profile_table(w)
+            if table is None:
+                return None
+            group = groups.get(id(table))
+            if group is None:
+                group = groups[id(table)] = table.group(t.name, t.data_bytes)
+            return group.mean_time(version.name)
+
         best: Optional[tuple] = None
         best_pair: Optional[tuple] = None
         for version in t.definition.versions:
-            mean = group.mean_time(version.name) if group is not None else None
-            for w in scheduler.capable_workers(version):
+            for w in scheduler.speculation_workers(version, worker):
                 if w is worker or not w.available(now):
                     continue
                 if (version.name, w.name) in t.failed_pairs:
                     continue
-                busy = est_busy(w) if est_busy is not None else float(w.load())
+                busy = scheduler.estimated_busy_time(w)
+                if busy is None:
+                    busy = float(w.load())
+                mean = mean_on(w, version)
                 key = (busy + (mean if mean is not None else 0.0), w.name, version.name)
                 if best is None or key < best:
                     best = key

@@ -25,10 +25,18 @@ Two entry points:
 All comparisons tolerate ``eps`` of floating-point noise; the simulated
 clock is exact event times, so violations found here are real logic
 errors, not rounding.
+
+Every check reads one :class:`_TraceIndex`, built in a single pass over
+the trace: records grouped by category, the task-record map, busy
+records by worker, and the few control records (worker windows,
+notifications) sorted once.  The findings and their order are those of
+scanning the whole trace per check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.sanitizer.diagnostics import Diagnostic
@@ -45,31 +53,121 @@ _EPS = 1e-9
 _BUSY_CATEGORIES = ("task", "fault", "aborted", "spec-abort")
 
 
-def _task_records(trace: "Trace") -> dict[int, "TraceRecord"]:
-    """Map run-local task sequence number -> its completion record."""
-    out: dict[int, "TraceRecord"] = {}
-    for r in trace.by_category("task"):
-        if r.meta:
-            out[r.meta[0]] = r
-    return out
+#: categories that open or close a worker window (SAN-T004)
+_WINDOW_CATEGORIES = ("quarantine", "readmit", "worker-down", "worker-up")
+#: categories whose record represents a notification actually arriving
+#: at the successor's node (wire delivery, duplicate copy, local
+#: delivery after migration, or crash-recovery self-clear)
+_NOTIFY_DELIVERED = ("notify", "notify-dup", "notify-local", "notify-recover")
+_NOTIFY_ATTEMPTED = (*_NOTIFY_DELIVERED, "notify-drop")
+
+
+def _sort_key(r: "TraceRecord") -> tuple:
+    return (r.start, r.end, r.worker)  # Trace.sorted()'s order
+
+
+class _TraceIndex:
+    """What the checks read of one trace, built in one pass.
+
+    Filtering a stably sorted trace keeps the relative order of what is
+    left, so sorting only the window and notification records gives
+    each check the records ``trace.sorted()`` would, in the same order.
+    """
+
+    __slots__ = ("trace", "by_category", "tasks", "_busy", "_control", "_groups")
+
+    def __init__(self, trace: "Trace") -> None:
+        self.trace = trace
+        by_category: dict[str, list["TraceRecord"]] = {}
+        for r in trace:
+            group = by_category.get(r.category)
+            if group is None:
+                by_category[r.category] = [r]
+            else:
+                group.append(r)
+        self.by_category = by_category
+        #: run-local task sequence number -> its (last) completion record
+        self.tasks: dict[int, "TraceRecord"] = {
+            r.meta[0]: r for r in by_category.get("task", ()) if r.meta
+        }
+        self._busy: Optional[dict[str, list["TraceRecord"]]] = None
+        self._control: Optional[list["TraceRecord"]] = None
+        self._groups: Optional[dict[tuple, list["TraceRecord"]]] = None
+
+    def category(self, name: str) -> list["TraceRecord"]:
+        return self.by_category.get(name, [])
+
+    def busy_by_worker(self) -> dict[str, list["TraceRecord"]]:
+        """Busy records of each worker, in append order."""
+        if self._busy is None:
+            present = [c for c in _BUSY_CATEGORIES if c in self.by_category]
+            if len(present) <= 1:
+                busy: Iterable["TraceRecord"] = (
+                    self.by_category[present[0]] if present else ()
+                )
+            else:
+                # several busy categories: only a pass over the trace
+                # keeps their records' relative append order
+                busy = (r for r in self.trace if r.category in _BUSY_CATEGORIES)
+            out: dict[str, list["TraceRecord"]] = {}
+            for r in busy:
+                recs = out.get(r.worker)
+                if recs is None:
+                    out[r.worker] = [r]
+                else:
+                    recs.append(r)
+            self._busy = out
+        return self._busy
+
+    def control(self) -> list["TraceRecord"]:
+        """Window and notification records, in ``trace.sorted()`` order."""
+        if self._control is None:
+            cats = [c for c in (*_WINDOW_CATEGORIES, *_NOTIFY_ATTEMPTED)
+                    if c in self.by_category]
+            if len(cats) <= 1:
+                recs = list(self.by_category[cats[0]]) if cats else []
+            else:
+                recs = [r for r in self.trace if r.category in cats]
+            recs.sort(key=_sort_key)
+            self._control = recs
+        return self._control
+
+    def notify_groups(self) -> dict[tuple, list["TraceRecord"]]:
+        """Delivered notification records grouped by *logical* message.
+
+        The reliable protocol may transmit one logical notification
+        several times (retransmits, duplicates); all transmissions share
+        the meta ``(successor seq, wire seq)`` and form one group.
+        Legacy records with a bare ``(successor seq,)`` meta are each
+        their own singleton group (pre-protocol behaviour).
+        """
+        if self._groups is None:
+            groups: dict[tuple, list["TraceRecord"]] = {}
+            if any(c in self.by_category for c in _NOTIFY_DELIVERED):
+                singleton = 0
+                for n in self.control():
+                    if n.category not in _NOTIFY_DELIVERED or not n.meta:
+                        continue
+                    if len(n.meta) >= 2:
+                        key = (n.meta[0], n.meta[1])
+                    else:
+                        singleton += 1
+                        key = (n.meta[0], ("rec", singleton))
+                    groups.setdefault(key, []).append(n)
+            self._groups = groups
+        return self._groups
 
 
 # ----------------------------------------------------------------------
 # SAN-T001 — per-worker interval overlap
 # ----------------------------------------------------------------------
-def _check_overlaps(trace: "Trace", eps: float) -> list[Diagnostic]:
+def _check_overlaps(index: _TraceIndex, eps: float) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    for worker in trace.workers():
+    busy = index.busy_by_worker()
+    for worker in sorted(busy):
         if worker.startswith("link:"):
             continue  # DMA channels pipeline; links are checked elsewhere
-        recs = sorted(
-            (
-                r
-                for r in trace
-                if r.worker == worker and r.category in _BUSY_CATEGORIES
-            ),
-            key=lambda r: (r.start, r.end),
-        )
+        recs = sorted(busy[worker], key=lambda r: (r.start, r.end))
         for a, b in zip(recs, recs[1:], strict=False):
             if b.start < a.end - eps:
                 out.append(Diagnostic(
@@ -90,16 +188,12 @@ def _check_overlaps(trace: "Trace", eps: float) -> list[Diagnostic]:
 # SAN-T002 — task starts before a dependence predecessor finishes
 # ----------------------------------------------------------------------
 def _check_dependence_order(
-    trace: "Trace", deps: Iterable[tuple[int, int]], eps: float
+    index: _TraceIndex, deps: Iterable[tuple[int, int]], eps: float
 ) -> list[Diagnostic]:
-    records = _task_records(trace)
+    record = index.tasks.get
     out: list[Diagnostic] = []
-    seen: set[tuple[int, int]] = set()
-    for pred, succ in deps:
-        if (pred, succ) in seen:
-            continue
-        seen.add((pred, succ))
-        a, b = records.get(pred), records.get(succ)
+    for pred, succ in dict.fromkeys(deps):  # each pair once, first-seen order
+        a, b = record(pred), record(succ)
         if a is None or b is None:
             continue  # one side never completed (aborted run)
         if b.start < a.end - eps:
@@ -121,13 +215,15 @@ def _check_dependence_order(
 # ----------------------------------------------------------------------
 # SAN-T004 — dead/quarantined workers executing tasks
 # ----------------------------------------------------------------------
-def _check_worker_windows(trace: "Trace", eps: float) -> list[Diagnostic]:
+def _check_worker_windows(index: _TraceIndex, eps: float) -> list[Diagnostic]:
+    if not any(c in index.by_category for c in _WINDOW_CATEGORIES):
+        return []
     # closed-off windows per worker: [start, end) during which no task
     # may *start*; inf = permanently down
     windows: dict[str, list[tuple[float, float, str]]] = {}
     open_quarantine: dict[str, float] = {}
     open_down: dict[str, float] = {}
-    for r in trace.sorted():
+    for r in index.control():
         if r.category == "quarantine":
             open_quarantine[r.worker] = r.start
         elif r.category == "readmit":
@@ -151,7 +247,7 @@ def _check_worker_windows(trace: "Trace", eps: float) -> list[Diagnostic]:
         windows.setdefault(worker, []).append((d, float("inf"), "dead"))
 
     out: list[Diagnostic] = []
-    for r in trace.by_category("task"):
+    for r in index.category("task"):
         for w0, w1, state in windows.get(r.worker, ()):
             if w0 - eps < r.start < w1 - eps:
                 out.append(Diagnostic(
@@ -170,22 +266,25 @@ def _check_worker_windows(trace: "Trace", eps: float) -> list[Diagnostic]:
 # ----------------------------------------------------------------------
 # SAN-T007 — straggler detections must be acted on
 # ----------------------------------------------------------------------
-def _check_straggler_followup(trace: "Trace") -> list[Diagnostic]:
+def _check_straggler_followup(index: _TraceIndex) -> list[Diagnostic]:
     # "straggler" and the recovery it triggers ("speculate" launch or
     # "retry" after an abort) carry the same simulated timestamp, so the
     # ordering that matters is trace *insertion* order, which the runtime
     # guarantees (detection is recorded before the recovery action).
+    if "straggler" not in index.by_category:
+        return []
     out: list[Diagnostic] = []
-    records = list(trace)
-    for i, r in enumerate(records):
-        if r.category != "straggler" or not r.meta:
-            continue
+    stragglers: list[tuple[int, "TraceRecord"]] = []
+    last_followup: dict = {}  # task seq -> position of its last follow-up
+    for i, r in enumerate(index.trace):
+        if r.category == "straggler":
+            if r.meta:
+                stragglers.append((i, r))
+        elif r.category in ("speculate", "retry") and r.meta:
+            last_followup[r.meta[0]] = i
+    for i, r in stragglers:
         seq = r.meta[0]
-        acted = any(
-            s.category in ("speculate", "retry") and s.meta and s.meta[0] == seq
-            for s in records[i + 1:]
-        )
-        if not acted:
+        if last_followup.get(seq, -1) < i:
             out.append(Diagnostic(
                 code="SAN-T007",
                 message=(
@@ -203,14 +302,14 @@ def _check_straggler_followup(trace: "Trace") -> list[Diagnostic]:
 # ----------------------------------------------------------------------
 # SAN-T008 — at most one completion per task
 # ----------------------------------------------------------------------
-def _check_unique_completion(trace: "Trace") -> list[Diagnostic]:
+def _check_unique_completion(index: _TraceIndex) -> list[Diagnostic]:
     # Speculative re-execution races an original against a copy: exactly
     # one side may retire the task ("task" record); the loser must be
     # withdrawn as "spec-abort".  Two completion records for one
     # run-local sequence number mean a cancelled loser also won.
     out: list[Diagnostic] = []
     seen: dict[int, "TraceRecord"] = {}
-    for r in trace.by_category("task"):
+    for r in index.category("task"):
         if not r.meta:
             continue
         seq = r.meta[0]
@@ -235,45 +334,16 @@ def _check_unique_completion(trace: "Trace") -> list[Diagnostic]:
 # ----------------------------------------------------------------------
 # SAN-T009 — cross-shard successor starts before its notification lands
 # ----------------------------------------------------------------------
-#: categories whose record represents a notification actually arriving
-#: at the successor's node (wire delivery, duplicate copy, local
-#: delivery after migration, or crash-recovery self-clear)
-_NOTIFY_DELIVERED = ("notify", "notify-dup", "notify-local", "notify-recover")
-
-
-def _notify_groups(trace: "Trace") -> dict[tuple, list["TraceRecord"]]:
-    """Delivered notification records grouped by *logical* message.
-
-    The reliable protocol may transmit one logical notification several
-    times (retransmits, duplicates); all transmissions share the meta
-    ``(successor seq, wire seq)`` and form one group.  Legacy records
-    with a bare ``(successor seq,)`` meta are each their own singleton
-    group (pre-protocol behaviour).
-    """
-    groups: dict[tuple, list["TraceRecord"]] = {}
-    singleton = 0
-    for n in trace.sorted():
-        if n.category not in _NOTIFY_DELIVERED or not n.meta:
-            continue
-        if len(n.meta) >= 2:
-            key = (n.meta[0], n.meta[1])
-        else:
-            singleton += 1
-            key = (n.meta[0], ("rec", singleton))
-        groups.setdefault(key, []).append(n)
-    return groups
-
-
-def _check_notify_order(trace: "Trace", eps: float) -> list[Diagnostic]:
+def _check_notify_order(index: _TraceIndex, eps: float) -> list[Diagnostic]:
     # The cluster protocol releases a cross-shard successor only after
     # every logical notification addressed to it is *delivered*.  With
     # retransmission, the releasing delivery is the FIRST arrival of
     # each logical message — a late duplicate legitimately lands after
     # the successor started, so the check groups transmissions by
     # logical message and compares against the earliest delivery.
-    records = _task_records(trace)
+    records = index.tasks
     out: list[Diagnostic] = []
-    for key, recs in sorted(_notify_groups(trace).items(), key=lambda kv: repr(kv[0])):
+    for key, recs in sorted(index.notify_groups().items(), key=lambda kv: repr(kv[0])):
         succ = records.get(key[0])
         if succ is None:
             continue
@@ -298,7 +368,7 @@ def _check_notify_order(trace: "Trace", eps: float) -> list[Diagnostic]:
 # SAN-T010 — a successor is released exactly once, and only by
 # notifications that were actually delivered
 # ----------------------------------------------------------------------
-def _check_release_protocol(trace: "Trace", eps: float) -> list[Diagnostic]:
+def _check_release_protocol(index: _TraceIndex, eps: float) -> list[Diagnostic]:
     # "release" point records (cluster runs) anchor the check: (a) each
     # successor is released at most once; (b) for every logical
     # notification addressed to a released successor, some transmission
@@ -307,7 +377,7 @@ def _check_release_protocol(trace: "Trace", eps: float) -> list[Diagnostic]:
     # the protocol bug this invariant exists to catch.
     out: list[Diagnostic] = []
     releases: dict[int, "TraceRecord"] = {}
-    for r in trace.by_category("release"):
+    for r in index.category("release"):
         if not r.meta:
             continue
         seq = r.meta[0]
@@ -329,12 +399,12 @@ def _check_release_protocol(trace: "Trace", eps: float) -> list[Diagnostic]:
     if not releases:
         return out
 
-    delivered = _notify_groups(trace)
+    delivered = index.notify_groups()
     attempted: dict[tuple, "TraceRecord"] = {}
-    for n in trace.sorted():
+    for n in index.control():
         if len(n.meta) < 2:
             continue
-        if n.category in _NOTIFY_DELIVERED or n.category == "notify-drop":
+        if n.category in _NOTIFY_ATTEMPTED:
             attempted.setdefault((n.meta[0], n.meta[1]), n)
     for key in sorted(attempted, key=repr):
         seq, mseq = key
@@ -386,44 +456,90 @@ def check_trace(
     run-local task sequence numbers (``meta[0]`` of task records) where
     the predecessor must finish before the successor starts.
     """
-    out = _check_overlaps(trace, eps)
+    return _check_indexed(_TraceIndex(trace), deps, eps)
+
+
+def _check_indexed(
+    index: _TraceIndex, deps: Optional[Iterable[tuple[int, int]]], eps: float
+) -> list[Diagnostic]:
+    out = _check_overlaps(index, eps)
     if deps is not None:
-        out.extend(_check_dependence_order(trace, deps, eps))
-    out.extend(_check_worker_windows(trace, eps))
-    out.extend(_check_straggler_followup(trace))
-    out.extend(_check_unique_completion(trace))
-    out.extend(_check_notify_order(trace, eps))
-    out.extend(_check_release_protocol(trace, eps))
+        out.extend(_check_dependence_order(index, deps, eps))
+    out.extend(_check_worker_windows(index, eps))
+    out.extend(_check_straggler_followup(index))
+    out.extend(_check_unique_completion(index))
+    out.extend(_check_notify_order(index, eps))
+    out.extend(_check_release_protocol(index, eps))
     return out
 
 
 # ----------------------------------------------------------------------
 # SAN-T003 — input transfer completes after its consumer started
 # ----------------------------------------------------------------------
-def _check_transfer_order(result: "RunResult", eps: float) -> list[Diagnostic]:
+#: transfer groups longer than this get a start-time index (SAN-T003)
+_INDEXED_TRANSFERS = 8
+
+
+class _TransferLog:
+    """Transfers of one (destination space, region label), by start.
+
+    ``in_flight_at(t0, eps)`` answers whether any copy started before
+    ``t0 - eps`` and ended after ``t0 + eps``: one bisection over the
+    start times, then the running maximum of the end times.
+    """
+
+    __slots__ = ("records", "starts", "max_end")
+
+    def __init__(self, records: list) -> None:
+        self.records = records  # append order, the order findings come in
+        by_start = sorted(records, key=lambda r: r.start)
+        self.starts = [r.start for r in by_start]
+        self.max_end = list(accumulate((r.end for r in by_start), max))
+
+    def in_flight_at(self, t0: float, eps: float) -> bool:
+        i = bisect_left(self.starts, t0 - eps)
+        return i > 0 and self.max_end[i - 1] > t0 + eps
+
+
+def _check_transfer_order(
+    result: "RunResult", index: _TraceIndex, eps: float
+) -> list[Diagnostic]:
     from repro.runtime.task import TaskState
 
     graph = result.graph
     if graph is None:
         return []
     space_of = {w.name: w.space for w in result.workers}
-    # transfers grouped by (destination space, region label)
-    transfers: dict[tuple[str, str], list] = {}
-    for r in result.trace.by_category("transfer"):
+    # transfers grouped by (destination space, region label); a long
+    # group's start-time index is built on its first query
+    grouped: dict[tuple[str, str], list] = {}
+    for r in index.category("transfer"):
         if not r.worker.startswith("link:") or "->" not in r.worker:
             continue
         dst = r.worker.split("->", 1)[1]
-        transfers.setdefault((dst, r.label), []).append(r)
+        grouped.setdefault((dst, r.label), []).append(r)
+    logs: dict[tuple[str, str], _TransferLog] = {}
 
     out: list[Diagnostic] = []
+    finished = TaskState.FINISHED
     for t in graph.tasks():
-        if t.state is not TaskState.FINISHED or t.chosen_worker is None:
+        if t.state is not finished or t.chosen_worker is None:
             continue
         space = space_of.get(t.chosen_worker)
         if space is None:
             continue
-        for region in {a.region.key: a.region for a in t.accesses if a.reads}.values():
-            for rec in transfers.get((space, region.label), ()):
+        for region in {a.region.rid: a.region for a in t.accesses if a.reads}.values():
+            key = (space, region.label)
+            recs = grouped.get(key)
+            if recs is None:
+                continue
+            if len(recs) > _INDEXED_TRANSFERS:
+                log = logs.get(key)
+                if log is None:
+                    log = logs[key] = _TransferLog(recs)
+                if not log.in_flight_at(t.start_time, eps):
+                    continue
+            for rec in recs:
                 # a copy already in flight at task start must have been
                 # waited for; one issued later belongs to a later consumer
                 if rec.start < t.start_time - eps and rec.end > t.start_time + eps:
@@ -521,8 +637,8 @@ def _check_lambda_counts(result: "RunResult") -> list[Diagnostic]:
 # ----------------------------------------------------------------------
 # SAN-T006 — run accounting
 # ----------------------------------------------------------------------
-def _check_accounting(result: "RunResult") -> list[Diagnostic]:
-    n_records = len(result.trace.by_category("task"))
+def _check_accounting(result: "RunResult", index: _TraceIndex) -> list[Diagnostic]:
+    n_records = len(index.category("task"))
     n_finish = len(result.finish_order)
     n_done = result.tasks_completed
     n_worker = int(sum(s.get("tasks_run", 0) for s in result.worker_stats.values()))
@@ -551,10 +667,11 @@ def check_run(result: "RunResult", *, eps: float = _EPS) -> list[Diagnostic]:
         for e in result.graph.edges:
             if e.src in ids and e.dst in ids:
                 deps.append((ids[e.src], ids[e.dst]))
-    out = check_trace(result.trace, deps=deps, eps=eps)
-    out.extend(_check_transfer_order(result, eps))
+    index = _TraceIndex(result.trace)
+    out = _check_indexed(index, deps, eps)
+    out.extend(_check_transfer_order(result, index, eps))
     out.extend(_check_lambda_counts(result))
-    out.extend(_check_accounting(result))
+    out.extend(_check_accounting(result, index))
     return out
 
 

@@ -27,6 +27,10 @@ Two complementary analyses:
    The check runs over the declared accesses by default and over the
    union of declared + recorded accesses when a recorder is supplied, so
    an undeclared access found by (1) is re-confirmed against the DAG.
+   Each region's accesses are first checked in one pass against a chain
+   (a read against the last writer, a write against the last writer and
+   every read since it); only a region where the chain breaks is
+   scanned pair by pair for the report.
 
 Recording is best-effort by design (a body may read through interfaces
 NumPy cannot intercept); it produces no false positives: every reported
@@ -262,31 +266,58 @@ class AccessRecorder:
 # ----------------------------------------------------------------------
 # Happens-before analysis over a completed DAG
 # ----------------------------------------------------------------------
-def _access_sets(
-    graph: "DependenceGraph",
-    recorder: Optional[AccessRecorder],
-) -> dict[int, list[tuple[DataRegion, bool, bool]]]:
-    """Per-task (region, reads, writes) — declared ∪ recorded."""
-    out: dict[int, list[tuple[DataRegion, bool, bool]]] = {}
-    for t in graph.tasks():
-        merged: dict[Hashable, tuple[DataRegion, bool, bool]] = {}
-        for a in t.accesses:
-            prev = merged.get(a.region.key)
-            merged[a.region.key] = (
-                a.region,
-                a.reads or (prev[1] if prev else False),
-                a.writes or (prev[2] if prev else False),
-            )
-        if recorder is not None:
-            for region, read, written in recorder.observed.get(t.uid, ()):
-                prev = merged.get(region.key)
-                merged[region.key] = (
-                    region,
-                    read or (prev[1] if prev else False),
-                    written or (prev[2] if prev else False),
-                )
-        out[t.uid] = list(merged.values())
-    return out
+def _task_accesses(
+    t: "TaskInstance", observed: dict[int, list[tuple[DataRegion, bool, bool]]]
+) -> Iterable[tuple[DataRegion, bool, bool]]:
+    """``t``'s (region, reads, writes) per region — declared ∪ recorded."""
+    merged: dict[int, tuple[DataRegion, bool, bool]] = {}  # by region id
+    for a in t.accesses:
+        region = a.region
+        prev = merged.get(region.rid)
+        merged[region.rid] = (
+            (region, a.reads, a.writes) if prev is None
+            else (region, a.reads or prev[1], a.writes or prev[2])
+        )
+    for region, read, written in observed.get(t.uid, ()):
+        prev = merged.get(region.rid)
+        merged[region.rid] = (
+            (region, read, written) if prev is None
+            else (region, read or prev[1], written or prev[2])
+        )
+    return merged.values()
+
+
+def _chain_ordered(
+    entries: list[tuple[int, DataRegion, bool, bool]],
+    pos: dict[int, int],
+    reach: list[int],
+) -> bool:
+    """Whether every conflicting pair of one region's accesses is ordered.
+
+    ``entries`` are one region's accesses in uid order.  A read needs a
+    dependence path from the last writer; a write needs one from the
+    last writer and from every read since it.  Paths compose, so a pair
+    further apart is ordered through the writers between them: when
+    every link holds, the pairwise scan would report nothing.  A group
+    of aliased keys needs no special case: the chain treats every pair
+    as overlapping (a superset of the scan's conflicts), and a task
+    holding two of the keys breaks it (no task is its own ancestor).
+    """
+    writer = -1  # position of the last writer
+    readers: list[int] = []
+    for uid, _region, _reads, writes in entries:
+        ancestors = reach[pos[uid]]
+        if writer >= 0 and not ancestors >> writer & 1:
+            return False
+        if writes:
+            for r in readers:
+                if not ancestors >> r & 1:
+                    return False
+            writer = pos[uid]
+            readers = []
+        else:
+            readers.append(pos[uid])
+    return True
 
 
 def check_happens_before(
@@ -307,38 +338,35 @@ def check_happens_before(
 
     # transitive reachability as bitmasks over task positions: tasks are
     # submitted in uid order, so every edge goes forward in `pos`
-    reach = [0] * len(tasks)
+    preds: list[list[int]] = [[] for _ in tasks]
     for e in graph.edges:
         if e.src not in pos or e.dst not in pos:
             continue
         i, j = pos[e.src], pos[e.dst]
         if i > j:
             i, j = j, i
-        reach[j] |= (1 << i)
-    for j in range(len(tasks)):
-        mask = reach[j]
-        acc = mask
-        while mask:
-            low = mask & -mask
-            acc |= reach[low.bit_length() - 1]
-            mask ^= low
+        preds[j].append(i)
+    reach = [0] * len(tasks)
+    for j, direct in enumerate(preds):
+        acc = 0
+        for i in direct:
+            acc |= reach[i] | (1 << i)
         reach[j] = acc
-
-    accesses = _access_sets(graph, recorder)
 
     # bucket accessors per region key; then merge buckets whose regions'
     # address intervals overlap (aliased distinct keys)
-    buckets: dict[Hashable, list[tuple[int, DataRegion, bool, bool]]] = {}
+    observed = recorder.observed if recorder is not None else {}
+    buckets: dict[int, list[tuple[int, DataRegion, bool, bool]]] = {}  # by region id
     for t in tasks:
-        for region, reads, writes in accesses[t.uid]:
-            buckets.setdefault(region.key, []).append((t.uid, region, reads, writes))
+        for region, reads, writes in _task_accesses(t, observed):
+            buckets.setdefault(region.rid, []).append((t.uid, region, reads, writes))
 
     groups: list[list[tuple[int, DataRegion, bool, bool]]] = []
     interval_keys: list[tuple[int, int, Hashable]] = []
-    for key, entries in buckets.items():
+    for entries in buckets.values():
         region = entries[0][1]
         if region.base is not None and region.length:
-            interval_keys.append((region.base, region.base + region.length, key))
+            interval_keys.append((region.base, region.base + region.length, region.key))
         groups.append(entries)
     # merge aliased buckets pairwise (rare; interval list is small)
     interval_keys.sort()
@@ -364,6 +392,8 @@ def check_happens_before(
     reported: set[tuple] = set()
     for entries in groups:
         entries.sort(key=lambda e: e[0])
+        if _chain_ordered(entries, pos, reach):
+            continue
         for i, (uid_a, reg_a, _, wr_a) in enumerate(entries):
             for uid_b, reg_b, rd_b, wr_b in entries[i + 1:]:
                 if uid_a == uid_b or not (wr_a or wr_b):

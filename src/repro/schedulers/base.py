@@ -124,6 +124,20 @@ class Scheduler:
         for a policy that learns none."""
         return getattr(self, "table", None)
 
+    def speculation_workers(
+        self, version: TaskVersion, straggler: "Worker"
+    ) -> list["Worker"]:
+        """Workers a speculative copy of a task straggling on
+        ``straggler`` may run ``version`` on: every live capable worker
+        unless a policy confines its work."""
+        return self.capable_workers(version)
+
+    def estimated_busy_time(self, worker: "Worker") -> Optional[float]:
+        """Estimated seconds of work queued on ``worker`` (the busy term
+        of the earliest-executor rule, read when placing a straggler's
+        copy), or None for a policy that keeps no estimate."""
+        return None
+
     # ------------------------------------------------------------------
     # Helpers shared by the non-versioning policies
     # ------------------------------------------------------------------

@@ -20,6 +20,9 @@ coroutine also serves as an in-process transport for tests and for
   tenant benefits from what the first tenant's runs taught the policy,
 * a :class:`~repro.service.cache.ResultCache` answering repeated
   submissions without re-simulating, byte-identical to the first run.
+  A result is encoded once, when it is cached; the TCP transport
+  splices that text into each reply frame (:func:`encode_frame`) and
+  never encodes or decodes a result on the event loop.
 
 Robustness machinery (all failure modes reproducible under a seeded
 :class:`~repro.service.chaos.ServiceFaultPlan`):
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import logging
 import threading
 import time
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from repro.runtime.fingerprint import app_graph_fingerprint
-from repro.service.cache import CacheKey, ResultCache
+from repro.service.cache import CacheKey, EncodedResult, ResultCache
 from repro.service.chaos import ServiceFaultInjector, ServiceFaultPlan
 from repro.service.session import AdmissionError, Job, Session
 from repro.service.spec import SpecError, SubmissionSpec
@@ -368,6 +372,15 @@ class SchedulerService:
     async def handle_request(
         self, request: Mapping[str, Any], tenant: str = "anon"
     ) -> dict:
+        """Answer one request; a submission's ``result`` is a plain dict."""
+        response = await self._respond(request, tenant)
+        result = response.get("result")
+        if isinstance(result, EncodedResult):
+            response["result"] = result.payload
+        return response
+
+    async def _respond(self, request: Mapping[str, Any], tenant: str) -> dict:
+        """Answer one request, leaving a result in its encoded form."""
         if not isinstance(request, Mapping):
             return _error(None, "bad-request", "request must be a JSON object")
         rid = request.get("id")
@@ -537,8 +550,6 @@ class SchedulerService:
     # ------------------------------------------------------------------
     def _execute(self, job: Job) -> dict:
         """Fingerprint, consult the cache and breaker, simulate on a miss."""
-        import json
-
         from repro.sim.calibrate import machine_fingerprint
 
         spec = job.spec
@@ -570,9 +581,9 @@ class SchedulerService:
         )
 
         if not job.no_cache:
-            payload = self.cache.lookup(key)
-            if payload is not None:
-                return self._ok(job, key, payload, cached=True)
+            hit = self.cache.lookup(key)
+            if hit is not None:
+                return self._ok(job, key, hit, cached=True)
 
         retry_after = self.breaker.blocked_for(key)
         if retry_after is not None:
@@ -598,9 +609,10 @@ class SchedulerService:
 
         from repro.runtime.serialize import run_result_to_dict
 
-        payload = run_result_to_dict(result)
-        self.cache.insert(key, payload, meta={"app": spec.app, "tenant": job.tenant})
-        return self._ok(job, key, payload, cached=False)
+        encoded = self.cache.insert(
+            key, run_result_to_dict(result), meta={"app": spec.app, "tenant": job.tenant}
+        )
+        return self._ok(job, key, encoded, cached=False)
 
     def _simulate(
         self, job: Job, spec: SubmissionSpec, machine: Any, app: Any, machine_fp: str
@@ -662,7 +674,9 @@ class SchedulerService:
                 self._scheduler_pool[pool_key] = entry
             return entry
 
-    def _ok(self, job: Job, key: CacheKey, payload: dict, *, cached: bool) -> dict:
+    def _ok(
+        self, job: Job, key: CacheKey, result: EncodedResult, *, cached: bool
+    ) -> dict:
         return {
             "ok": True,
             "id": job.id,
@@ -670,7 +684,7 @@ class SchedulerService:
             "cached": cached,
             "graph_fp": key.graph_fp,
             "machine_fp": key.machine_fp,
-            "result": payload,
+            "result": result,
         }
 
     # ------------------------------------------------------------------
@@ -731,6 +745,23 @@ def _error(rid: Optional[str], code: str, message: str, **extra: Any) -> dict:
 MAX_LINE = 8 * 1024 * 1024  # a spec is small; a result payload is not ours to read
 
 
+def encode_frame(response: Mapping[str, Any]) -> bytes:
+    """``json.dumps(response, sort_keys=True)`` and a newline, as bytes.
+
+    An :class:`EncodedResult` is spliced in as its canonical text, so a
+    reply frame costs no result encode; the bytes are those of dumping
+    the decoded result.
+    """
+    if not isinstance(response.get("result"), EncodedResult):
+        return json.dumps(response, sort_keys=True).encode() + b"\n"
+    body = ", ".join(
+        f"{json.dumps(k)}: "
+        + (v.text if k == "result" else json.dumps(v, sort_keys=True))
+        for k, v in sorted(response.items(), key=lambda kv: kv[0])
+    )
+    return f"{{{body}}}\n".encode()
+
+
 def _corrupt_frame(data: bytes) -> bytes:
     """Injected frame damage: framing intact, payload unparseable."""
     body, nl = data[:-1], data[-1:]
@@ -754,8 +785,6 @@ async def serve_tcp(
     and per response frame (corruption/truncation) — the wire-level
     failure modes the retrying clients are tested against.
     """
-    import json
-
     conn_ids = itertools.count(1)
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
@@ -773,7 +802,7 @@ async def serve_tcp(
                 writer.close()
 
         async def send(response: dict) -> None:
-            data = json.dumps(response, sort_keys=True).encode() + b"\n"
+            data = encode_frame(response)
             fault = chaos.frame_fault() if chaos is not None else None
             try:
                 if fault == "corrupt":
@@ -792,7 +821,7 @@ async def serve_tcp(
         async def answer(request: Any, ordinal: int) -> None:
             try:
                 if isinstance(request, Mapping):
-                    response = await service.handle_request(request, tenant)
+                    response = await service._respond(request, tenant)
                 else:
                     response = _error(None, "bad-request", "request must be a JSON object")
                 if chaos is not None:
@@ -1024,5 +1053,6 @@ __all__ = [
     "SubmissionBreaker",
     "ValidationFailed",
     "WorkerCrashError",
+    "encode_frame",
     "serve_tcp",
 ]

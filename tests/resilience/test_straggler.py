@@ -221,6 +221,66 @@ class TestClusterDeadlines:
         res.validate()
 
 
+class TestClusterSpeculationTarget:
+    def test_copy_goes_to_the_brute_force_earliest_executor(self):
+        # a straggler's copy stays on its node; among that node's
+        # eligible (version, worker) pairs it goes to the argmin of the
+        # worker's busy estimate plus the version's mean, both read from
+        # the node's inner scheduler and profile table.  Copies once went
+        # to the least-queued worker of the whole cluster in name order
+        app = MatmulApp(n_tiles=6, tile_size=64, variant="hyb")
+        m = cluster_machine(4, smp_per_node=2, gpus_per_node=1,
+                            noise_cv=0.02, seed=7)
+        app.register_cost_models(m)
+        plan = FaultPlan(seed=3, slowdowns=(WorkerSlowdown("n0gpu0", 0.0001, 2.0),))
+        policy = RecoveryPolicy(speculate=True, deadline_grace=1.0,
+                                deadline_k=0.0)
+        rt = OmpSsRuntime(m, "cluster",
+                          scheduler_options={"protocol": {"ack_timeout": 0.0005}},
+                          fault_plan=plan, recovery=policy)
+        sched = rt.scheduler
+        manager = rt.resilience
+        choose = manager._choose_speculation_pair
+        chosen = []
+
+        def brute_force(t, straggler):
+            now = rt.engine.now
+            node = sched.node_of_worker[straggler.name]
+            inner = sched.inner[node]
+            best = None
+            for version in t.definition.versions:
+                for w in rt.workers:
+                    if (w is straggler or sched.node_of_worker[w.name] != node
+                            or not w.alive or not w.available(now)
+                            or w.device.kind not in version.device_kinds
+                            or (version.name, w.name) in t.failed_pairs):
+                        continue
+                    mean = inner.table.group(t.name, t.data_bytes).mean_time(version.name)
+                    key = (inner.estimated_busy_time(w) + (mean or 0.0),
+                           w.name, version.name)
+                    best = min(best, key) if best is not None else key
+            return best
+
+        def checked(t, straggler):
+            want = brute_force(t, straggler)
+            pair = choose(t, straggler)
+            got = None if pair is None else (pair[1].name, pair[0].name)
+            assert got == (None if want is None else want[1:]), (t.label, got, want)
+            chosen.append((straggler.name, got))
+            return pair
+
+        manager._choose_speculation_pair = checked
+        with rt:
+            app.master(rt)
+        res = rt.result()
+        assert res.tasks_completed == 216
+        placed = [(s, got[0]) for s, got in chosen if got is not None]
+        assert len(placed) >= 10
+        # stragglers on several nodes, each copy on its straggler's node
+        assert len({sched.node_of_worker[s] for s, _w in placed}) > 1
+        res.validate()
+
+
 class TestQuarantineInteraction:
     def test_no_alternate_pair_when_the_only_other_worker_is_quarantined(
         self, registry
