@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.resilience.faults import FaultPlan
 from repro.resilience.watchdog import TaskWatchdog
@@ -595,20 +595,13 @@ class ResilienceManager:
         assert rt is not None and t.chosen_version is not None
         scheduler = rt.scheduler
         now = rt.engine.now
-        groups: dict[int, Any] = {}  # id(profile table) -> t's size group
-
-        def mean_on(w: "Worker", version: TaskVersion) -> Optional[float]:
-            table = scheduler.profile_table(w)
-            if table is None:
-                return None
-            group = groups.get(id(table))
-            if group is None:
-                group = groups[id(table)] = table.group(t.name, t.data_bytes)
-            return group.mean_time(version.name)
-
+        # every candidate shares the straggler's node, so its table
+        table = scheduler.profile_table(worker)
+        group = table.group(t.name, t.data_bytes) if table is not None else None
         best: Optional[tuple] = None
         best_pair: Optional[tuple] = None
         for version in t.definition.versions:
+            mean = group.mean_time(version.name) if group is not None else None
             for w in scheduler.speculation_workers(version, worker):
                 if w is worker or not w.available(now):
                     continue
@@ -617,7 +610,6 @@ class ResilienceManager:
                 busy = scheduler.estimated_busy_time(w)
                 if busy is None:
                     busy = float(w.load())
-                mean = mean_on(w, version)
                 key = (busy + (mean if mean is not None else 0.0), w.name, version.name)
                 if best is None or key < best:
                     best = key

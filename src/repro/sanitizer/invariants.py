@@ -35,8 +35,6 @@ scanning the whole trace per check.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.sanitizer.diagnostics import Diagnostic
@@ -60,6 +58,7 @@ _WINDOW_CATEGORIES = ("quarantine", "readmit", "worker-down", "worker-up")
 #: delivery after migration, or crash-recovery self-clear)
 _NOTIFY_DELIVERED = ("notify", "notify-dup", "notify-local", "notify-recover")
 _NOTIFY_ATTEMPTED = (*_NOTIFY_DELIVERED, "notify-drop")
+_CONTROL_CATEGORIES = frozenset((*_WINDOW_CATEGORIES, *_NOTIFY_ATTEMPTED))
 
 
 def _sort_key(r: "TraceRecord") -> tuple:
@@ -74,63 +73,42 @@ class _TraceIndex:
     each check the records ``trace.sorted()`` would, in the same order.
     """
 
-    __slots__ = ("trace", "by_category", "tasks", "_busy", "_control", "_groups")
+    __slots__ = ("trace", "by_category", "tasks", "busy", "control", "_groups")
 
     def __init__(self, trace: "Trace") -> None:
         self.trace = trace
         by_category: dict[str, list["TraceRecord"]] = {}
+        #: busy records of each worker, in append order
+        busy: dict[str, list["TraceRecord"]] = {}
+        #: window and notification records, in ``trace.sorted()`` order
+        control: list["TraceRecord"] = []
         for r in trace:
-            group = by_category.get(r.category)
+            cat = r.category
+            group = by_category.get(cat)
             if group is None:
-                by_category[r.category] = [r]
+                by_category[cat] = [r]
             else:
                 group.append(r)
+            if cat in _BUSY_CATEGORIES:
+                recs = busy.get(r.worker)
+                if recs is None:
+                    busy[r.worker] = [r]
+                else:
+                    recs.append(r)
+            elif cat in _CONTROL_CATEGORIES:
+                control.append(r)
+        control.sort(key=_sort_key)
         self.by_category = by_category
+        self.busy = busy
+        self.control = control
         #: run-local task sequence number -> its (last) completion record
         self.tasks: dict[int, "TraceRecord"] = {
             r.meta[0]: r for r in by_category.get("task", ()) if r.meta
         }
-        self._busy: Optional[dict[str, list["TraceRecord"]]] = None
-        self._control: Optional[list["TraceRecord"]] = None
         self._groups: Optional[dict[tuple, list["TraceRecord"]]] = None
 
     def category(self, name: str) -> list["TraceRecord"]:
         return self.by_category.get(name, [])
-
-    def busy_by_worker(self) -> dict[str, list["TraceRecord"]]:
-        """Busy records of each worker, in append order."""
-        if self._busy is None:
-            present = [c for c in _BUSY_CATEGORIES if c in self.by_category]
-            if len(present) <= 1:
-                busy: Iterable["TraceRecord"] = (
-                    self.by_category[present[0]] if present else ()
-                )
-            else:
-                # several busy categories: only a pass over the trace
-                # keeps their records' relative append order
-                busy = (r for r in self.trace if r.category in _BUSY_CATEGORIES)
-            out: dict[str, list["TraceRecord"]] = {}
-            for r in busy:
-                recs = out.get(r.worker)
-                if recs is None:
-                    out[r.worker] = [r]
-                else:
-                    recs.append(r)
-            self._busy = out
-        return self._busy
-
-    def control(self) -> list["TraceRecord"]:
-        """Window and notification records, in ``trace.sorted()`` order."""
-        if self._control is None:
-            cats = [c for c in (*_WINDOW_CATEGORIES, *_NOTIFY_ATTEMPTED)
-                    if c in self.by_category]
-            if len(cats) <= 1:
-                recs = list(self.by_category[cats[0]]) if cats else []
-            else:
-                recs = [r for r in self.trace if r.category in cats]
-            recs.sort(key=_sort_key)
-            self._control = recs
-        return self._control
 
     def notify_groups(self) -> dict[tuple, list["TraceRecord"]]:
         """Delivered notification records grouped by *logical* message.
@@ -145,7 +123,7 @@ class _TraceIndex:
             groups: dict[tuple, list["TraceRecord"]] = {}
             if any(c in self.by_category for c in _NOTIFY_DELIVERED):
                 singleton = 0
-                for n in self.control():
+                for n in self.control:
                     if n.category not in _NOTIFY_DELIVERED or not n.meta:
                         continue
                     if len(n.meta) >= 2:
@@ -163,7 +141,7 @@ class _TraceIndex:
 # ----------------------------------------------------------------------
 def _check_overlaps(index: _TraceIndex, eps: float) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    busy = index.busy_by_worker()
+    busy = index.busy
     for worker in sorted(busy):
         if worker.startswith("link:"):
             continue  # DMA channels pipeline; links are checked elsewhere
@@ -223,7 +201,7 @@ def _check_worker_windows(index: _TraceIndex, eps: float) -> list[Diagnostic]:
     windows: dict[str, list[tuple[float, float, str]]] = {}
     open_quarantine: dict[str, float] = {}
     open_down: dict[str, float] = {}
-    for r in index.control():
+    for r in index.control:
         if r.category == "quarantine":
             open_quarantine[r.worker] = r.start
         elif r.category == "readmit":
@@ -401,7 +379,7 @@ def _check_release_protocol(index: _TraceIndex, eps: float) -> list[Diagnostic]:
 
     delivered = index.notify_groups()
     attempted: dict[tuple, "TraceRecord"] = {}
-    for n in index.control():
+    for n in index.control:
         if len(n.meta) < 2:
             continue
         if n.category in _NOTIFY_ATTEMPTED:
@@ -476,31 +454,6 @@ def _check_indexed(
 # ----------------------------------------------------------------------
 # SAN-T003 — input transfer completes after its consumer started
 # ----------------------------------------------------------------------
-#: transfer groups longer than this get a start-time index (SAN-T003)
-_INDEXED_TRANSFERS = 8
-
-
-class _TransferLog:
-    """Transfers of one (destination space, region label), by start.
-
-    ``in_flight_at(t0, eps)`` answers whether any copy started before
-    ``t0 - eps`` and ended after ``t0 + eps``: one bisection over the
-    start times, then the running maximum of the end times.
-    """
-
-    __slots__ = ("records", "starts", "max_end")
-
-    def __init__(self, records: list) -> None:
-        self.records = records  # append order, the order findings come in
-        by_start = sorted(records, key=lambda r: r.start)
-        self.starts = [r.start for r in by_start]
-        self.max_end = list(accumulate((r.end for r in by_start), max))
-
-    def in_flight_at(self, t0: float, eps: float) -> bool:
-        i = bisect_left(self.starts, t0 - eps)
-        return i > 0 and self.max_end[i - 1] > t0 + eps
-
-
 def _check_transfer_order(
     result: "RunResult", index: _TraceIndex, eps: float
 ) -> list[Diagnostic]:
@@ -510,15 +463,13 @@ def _check_transfer_order(
     if graph is None:
         return []
     space_of = {w.name: w.space for w in result.workers}
-    # transfers grouped by (destination space, region label); a long
-    # group's start-time index is built on its first query
+    # transfers grouped by (destination space, region label)
     grouped: dict[tuple[str, str], list] = {}
     for r in index.category("transfer"):
         if not r.worker.startswith("link:") or "->" not in r.worker:
             continue
         dst = r.worker.split("->", 1)[1]
         grouped.setdefault((dst, r.label), []).append(r)
-    logs: dict[tuple[str, str], _TransferLog] = {}
 
     out: list[Diagnostic] = []
     finished = TaskState.FINISHED
@@ -529,17 +480,7 @@ def _check_transfer_order(
         if space is None:
             continue
         for region in {a.region.rid: a.region for a in t.accesses if a.reads}.values():
-            key = (space, region.label)
-            recs = grouped.get(key)
-            if recs is None:
-                continue
-            if len(recs) > _INDEXED_TRANSFERS:
-                log = logs.get(key)
-                if log is None:
-                    log = logs[key] = _TransferLog(recs)
-                if not log.in_flight_at(t.start_time, eps):
-                    continue
-            for rec in recs:
+            for rec in grouped.get((space, region.label), ()):
                 # a copy already in flight at task start must have been
                 # waited for; one issued later belongs to a later consumer
                 if rec.start < t.start_time - eps and rec.end > t.start_time + eps:

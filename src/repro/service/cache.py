@@ -10,10 +10,10 @@ A result is encoded once.  :meth:`ResultCache.insert` turns the payload
 into its canonical text, ``json.dumps(payload, sort_keys=True)``, and
 the entry keeps only that text (about 2.3x smaller than the dict).  The
 journal line, the snapshot and every reply frame splice the same text
-in, so their bytes are what dumping each whole record would give, and a
-hit is answered without decoding or encoding the payload.  Lookups
-return an :class:`EncodedResult`: a read-only mapping over the text that
-decodes it on first access, equal to the payload it encodes.
+in, so their bytes are what dumping each whole record would give.  The
+server looks results up as :class:`EncodedResult` (``encoded=True``), so
+a hit over TCP is answered without decoding or encoding the payload;
+every other lookup decodes the text into a plain dict.
 
 The key's terms:
 
@@ -57,7 +57,6 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Union
@@ -142,12 +141,12 @@ def _canonical_text(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-class EncodedResult(Mapping):
+class EncodedResult:
     """A result payload held as its canonical text.
 
-    ``text`` is what every transport and file splices in.  Reading it as
-    a mapping decodes the text once, on first access, unless the payload
-    it was encoded from was handed in.
+    ``text`` is what every transport and file splices in; ``payload``
+    decodes it once, on first access, unless the payload it was encoded
+    from was handed in.
     """
 
     __slots__ = ("text", "_payload")
@@ -162,15 +161,6 @@ class EncodedResult(Mapping):
         if self._payload is None:
             self._payload = json.loads(self.text)
         return self._payload
-
-    def __getitem__(self, key: str) -> Any:
-        return self.payload[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.payload)
-
-    def __len__(self) -> int:
-        return len(self.payload)
 
     def __repr__(self) -> str:
         return f"EncodedResult({len(self.text)} chars)"
@@ -224,8 +214,15 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def lookup(self, key: CacheKey) -> Optional[EncodedResult]:
-        """The cached result for ``key``, or None (counted)."""
+    def lookup(
+        self, key: CacheKey, *, encoded: bool = False
+    ) -> Union[dict, EncodedResult, None]:
+        """The cached result for ``key``, or None (counted).
+
+        A hit is a plain dict decoded from the entry's text, or with
+        ``encoded=True`` the :class:`EncodedResult` over the text itself,
+        which the server splices into reply frames undecoded.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -234,7 +231,8 @@ class ResultCache:
             entry.hits += 1
             self.stats.hits += 1
             self._entries.move_to_end(key)
-            return EncodedResult(entry.text)
+            text = entry.text
+        return EncodedResult(text) if encoded else json.loads(text)
 
     def insert(
         self, key: CacheKey, payload: dict, *, meta: Optional[dict] = None

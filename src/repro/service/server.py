@@ -581,7 +581,7 @@ class SchedulerService:
         )
 
         if not job.no_cache:
-            hit = self.cache.lookup(key)
+            hit = self.cache.lookup(key, encoded=True)
             if hit is not None:
                 return self._ok(job, key, hit, cached=True)
 

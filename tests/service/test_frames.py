@@ -95,8 +95,9 @@ def test_replayed_and_loaded_entries_equal_inserted(tmp_path):
     loaded = ResultCache(tmp_path / "cache.json")
     for key, payload, _meta in [*ENTRIES, LATE_ENTRY]:
         got = loaded.lookup(key)
-        assert got == payload
-        assert json.dumps(dict(got), sort_keys=True) == json.dumps(payload, sort_keys=True)
+        assert type(got) is dict and got == payload
+        assert json.dumps(got, sort_keys=True) == json.dumps(payload, sort_keys=True)
+        assert loaded.lookup(key, encoded=True).text == json.dumps(payload, sort_keys=True)
     # the journal alone (a kill before any snapshot) restores the same
     journal_only = tmp_path / "killed"
     journal_only.mkdir()
