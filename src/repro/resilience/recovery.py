@@ -347,8 +347,8 @@ class ResilienceManager:
         deliberately is not stretched, so a degraded worker's executions
         overshoot it and are recovered.  The deadline is armed after the
         end event so one landing on the exact completion time loses the
-        (time, seq) tie-break to it.  Speculative copies are never
-        watched themselves (no recursive speculation).
+        (time, seq) tie-break to it.  A speculative copy gets the cold
+        deadline, so a hung copy is withdrawn rather than copied again.
         """
         rt = self.rt
         engine = rt.engine
@@ -378,13 +378,13 @@ class ResilienceManager:
                 kind=EventKind.TASK_END,
                 label=t.label,
             )
-        if self.policy.speculate and t.speculative_of is None:
+        if self.policy.speculate:
             self.watchdog.arm(t, worker, nominal)
 
     def on_task_end(
         self, t: TaskInstance, worker: "Worker"
     ) -> tuple[TaskInstance, Optional["Worker"]]:
-        """An execution completed: disarm its deadline, settle its race.
+        """An execution completed: disarm the race's deadlines, settle it.
 
         Returns ``(record, loser)``: the task the dependence graph
         retires and the worker whose straggling execution was stopped.
@@ -398,7 +398,7 @@ class ResilienceManager:
         """
         rt = self.rt
         primary = self._original_of(t)
-        self.watchdog.disarm(t if primary is None else primary)
+        self.watchdog.disarm(t)
         if primary is None:
             shadow = self._spec_shadow.get(t.uid)
             if shadow is not None:
@@ -406,6 +406,7 @@ class ResilienceManager:
                 self._cancel_speculation(shadow)
             return t, None
         del self._spec_shadow[primary.uid]
+        self.watchdog.disarm(primary)
         loser = rt._worker_of(primary)
         if loser is not None and loser.current is primary:
             rt._stop(primary, loser, "spec-abort")
@@ -513,7 +514,6 @@ class ResilienceManager:
             self._cancel_speculation(t)
             return
         rt = self.rt
-        now = rt.engine.now
         rt._xfer_ready.pop(t.uid, None)
         rt._unpin(t, worker.space)
         rt.scheduler.task_requeued(t, worker)
@@ -522,6 +522,12 @@ class ResilienceManager:
             # retried: the copy carries the task to completion
             t.state = TaskState.READY
             return
+        self._retry(t, worker)
+
+    def _retry(self, t: TaskInstance, worker: "Worker") -> None:
+        """Return a task that left ``worker`` to the ready pool."""
+        rt = self.rt
+        now = rt.engine.now
         rt.trace.add(
             now, now, worker.name, "retry", t.name,
             meta=(rt._local_ids[t.uid], t.attempts),
@@ -546,8 +552,10 @@ class ResilienceManager:
         Prefers launching a speculative copy on the best alternate
         (version, worker) pair; with no pair (or no budget) the
         straggling execution is aborted and retried like a transient
-        fault.  Either way the ``straggler`` trace record is followed by
-        a ``speculate`` or ``retry`` record (SAN-T007).
+        fault.  A copy that overran is withdrawn and its original, if
+        still running, aborted.  Either way the ``straggler`` trace
+        record is followed by a ``speculate`` or ``retry`` record
+        (SAN-T007).
         """
         rt = self.rt
         assert rt is not None and t.chosen_version is not None
@@ -557,6 +565,13 @@ class ResilienceManager:
             now, now, worker.name, "straggler", t.chosen_version.name,
             meta=(rt._local_ids[t.uid],),
         )
+        primary = self._original_of(t)
+        if primary is not None:
+            self._cancel_speculation(t)
+            loser = rt._worker_of(primary)
+            if loser is not None and loser.current is primary:
+                self._abort_straggler(primary, loser)
+            return
         pair = self._choose_speculation_pair(t, worker)
         if (
             pair is not None
@@ -675,12 +690,14 @@ class ResilienceManager:
         re-enters any pool; its partial execution time (if it started)
         stays on the worker as busy time under a ``spec-abort`` record,
         while a copy still waiting in a queue burned no worker time and
-        leaves only a non-busy ``spec-drop`` point record.
+        leaves only a non-busy ``spec-drop`` point record.  A parked
+        original (it faulted or lost its worker) returns to the pool.
         """
         rt = self.rt
         # only a live copy is withdrawn
         assert self._spec_shadow.get(shadow.speculative_of) is shadow
         del self._spec_shadow[shadow.speculative_of]
+        self.watchdog.disarm(shadow)
         w = rt._worker_of(shadow)
         if w is not None:
             if w.current is shadow:
@@ -698,6 +715,9 @@ class ResilienceManager:
             rt.scheduler.task_requeued(shadow, w)
         shadow.state = TaskState.FINISHED  # retired, never re-dispatched
         self.stats.speculations_wasted += 1
+        original = rt.graph.task(shadow.speculative_of)
+        if original.state is TaskState.READY:
+            self._retry(original, rt._worker_of(original))
         if w is not None:
             rt._try_start(w)
 

@@ -95,14 +95,17 @@ class TaskWatchdog:
         table that times executions on ``worker`` (on a cluster, its
         node's).  ``nominal`` is the runtime's own duration estimate
         (device cost model), the fallback of last resort when no
-        profile exists at all.
+        profile exists at all, and the only base of a speculative
+        copy's deadline.
         """
         policy = self.policy
         mean: Optional[float] = None
         sigma: Optional[float] = None
         samples = 0
         table = self.rt.scheduler.profile_table(worker) if self.rt else None
-        if table is not None and t.chosen_version is not None:
+        # a copy gets the cold deadline: a profile one would also abort
+        # slow (not hung) copies and charge their originals' retries
+        if table is not None and t.chosen_version is not None and t.speculative_of is None:
             profile = table.group(t.name, t.data_bytes).profile(t.chosen_version.name)
             mean = profile.mean_time
             sigma = profile.stddev

@@ -1,13 +1,13 @@
 """Simulator tooling entry point: ``python -m repro.sim``.
 
 ``--profile [--workload NAME] [--top N]``
-    cProfile one of the throughput-bench workloads (default the 16-node
-    sharded matmul acceptance workload) and print the hottest frames by
-    total time.  This is the supported way to find the next frame to
-    flatten — see DESIGN.md §17.  Next to the event and task counts it
-    prints the cyclic collector's work during the profile (collections
-    per generation, their time, objects found), which cProfile charges
-    to whichever frame happened to allocate.
+    cProfile one of ``WORKLOADS`` (default the 16-node sharded matmul,
+    1000 tasks) and print the hottest frames by total time.  This is the
+    supported way to find the next frame to flatten — see DESIGN.md §17.
+    Next to the event and task counts it prints the cyclic collector's
+    work during the profile (collections per generation, their time,
+    objects found), which cProfile charges to whichever frame happened
+    to allocate.
 """
 
 from __future__ import annotations
@@ -18,29 +18,77 @@ import sys
 import time
 
 
-def _bench_workloads():
-    """The workload registry from benchmarks/bench_sim_throughput.py.
+def _run_matmul16():
+    """The acceptance workload: 16-node sharded matmul (affinity+steal)."""
+    from repro.apps.matmul import MatmulApp
+    from repro.runtime.runtime import OmpSsRuntime
+    from repro.sim.topology import cluster_machine
 
-    Imported lazily by path so the profile entry works from a source
-    checkout without installing the benchmarks as a package.
+    app = MatmulApp(n_tiles=10, tile_size=32, variant="hyb")
+    machine = cluster_machine(16, smp_per_node=2, gpus_per_node=1,
+                              noise_cv=0.02, seed=7)
+    app.register_cost_models(machine)
+    rt = OmpSsRuntime(machine, "cluster",
+                      scheduler_options={"partition": "affinity", "steal": True})
+    with rt:
+        app.master(rt)
+    return rt.engine.events_processed, rt.result().tasks_completed
+
+
+def _run_matmul_node():
+    """Single-node versioning matmul (the paper's bread-and-butter run)."""
+    from repro.apps.matmul import MatmulApp
+    from repro.runtime.runtime import OmpSsRuntime
+    from repro.sim.topology import minotauro_node
+
+    app = MatmulApp(n_tiles=8, tile_size=64, variant="hyb")
+    machine = minotauro_node(4, 2, noise_cv=0.02, seed=3)
+    app.register_cost_models(machine)
+    rt = OmpSsRuntime(machine, "versioning")
+    with rt:
+        app.master(rt)
+    return rt.engine.events_processed, rt.result().tasks_completed
+
+
+def _run_cholesky_node():
+    from repro.apps.cholesky import CholeskyApp
+    from repro.runtime.runtime import OmpSsRuntime
+    from repro.sim.topology import minotauro_node
+
+    app = CholeskyApp(n_blocks=8, block_size=64, variant="hyb")
+    machine = minotauro_node(4, 2, noise_cv=0.02, seed=3)
+    app.register_cost_models(machine)
+    rt = OmpSsRuntime(machine, "versioning")
+    with rt:
+        app.master(rt)
+    return rt.engine.events_processed, rt.result().tasks_completed
+
+
+def _run_heap_synthetic():
+    """Raw event-store push+pop with a ~64-event resident window.
+
+    Isolates the event core from scheduler callback cost.
     """
-    import importlib.util
-    from pathlib import Path
+    from repro.sim.engine import Event, EventHeap, EventKind
 
-    for parent in Path(__file__).resolve().parents:
-        candidate = parent / "benchmarks" / "bench_sim_throughput.py"
-        if candidate.exists():
-            spec = importlib.util.spec_from_file_location(
-                "bench_sim_throughput", candidate
-            )
-            assert spec is not None and spec.loader is not None
-            mod = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(mod)
-            return mod.WORKLOADS
-    raise SystemExit(
-        "benchmarks/bench_sim_throughput.py not found; --profile requires "
-        "a source checkout"
-    )
+    n = 100_000
+    h = EventHeap()
+    kind = EventKind.GENERIC
+    for i in range(n):
+        h.push(Event((i % 97) * 0.5 + i * 1e-9, i, kind, None))
+        if i >= 64:
+            h.pop()
+    while h.pop() is not None:
+        pass
+    return n, 0
+
+
+WORKLOADS = {
+    "matmul16-sharded": _run_matmul16,
+    "matmul8-node-versioning": _run_matmul_node,
+    "cholesky8-node-versioning": _run_cholesky_node,
+    "heap-synthetic": _run_heap_synthetic,
+}
 
 
 class _CollectorLog:
@@ -70,10 +118,9 @@ def _cmd_profile(workload: str, top: int) -> int:
     import cProfile
     import pstats
 
-    workloads = _bench_workloads()
-    fn = workloads.get(workload)
+    fn = WORKLOADS.get(workload)
     if fn is None:
-        print(f"unknown workload {workload!r}; one of {sorted(workloads)}",
+        print(f"unknown workload {workload!r}; one of {sorted(WORKLOADS)}",
               file=sys.stderr)
         return 2
     print(f"[profiling {workload}]", file=sys.stderr)
@@ -98,9 +145,9 @@ def main(argv=None) -> int:
         prog="python -m repro.sim", description=__doc__.splitlines()[0]
     )
     ap.add_argument("--profile", action="store_true",
-                    help="cProfile a throughput workload")
+                    help="cProfile a simulator workload")
     ap.add_argument("--workload", default="matmul16-sharded",
-                    help="workload for --profile (see bench_sim_throughput)")
+                    help=f"workload for --profile, one of {', '.join(WORKLOADS)}")
     ap.add_argument("--top", type=int, default=25,
                     help="frames to print for --profile (default 25)")
     args = ap.parse_args(argv)

@@ -11,10 +11,10 @@ import pytest
 
 from repro import FaultPlan, OmpSsRuntime, RecoveryPolicy, TaskFaultRule
 from repro.apps.matmul import MatmulApp
-from repro.resilience.faults import HangRule, WorkerSlowdown
+from repro.resilience.faults import HangRule, WorkerFailure, WorkerSlowdown
 from repro.resilience.watchdog import ProgressStallError, ProgressWatchdog
 from repro.runtime.runtime import RuntimeConfig
-from repro.sim.topology import cluster_machine
+from repro.sim.topology import cluster_machine, minotauro_node
 from repro.store import ProfileStore
 from tests.conftest import make_machine, make_two_version_task, region
 
@@ -192,6 +192,49 @@ class TestSpeculation:
         per_task = [r.meta[0] for r in spec]
         assert len(per_task) == len(set(per_task))
         res.validate()
+
+
+class TestCopyWithdrawn:
+    """A speculative copy withdrawn while nothing else carries its task:
+    a hung copy of a hung original, or the copy of a parked original."""
+
+    def run(self, starts=(3, 8), **faults):
+        app = MatmulApp(4, 64, variant="hyb")
+        machine = minotauro_node(2, 1, noise_cv=0.0, seed=0)
+        app.register_cost_models(machine)
+        plan = FaultPlan(seed=1, hangs=(HangRule(at_starts=starts),), **faults)
+        policy = RecoveryPolicy(speculate=True, deadline_grace=1.0, deadline_k=0.0)
+        rt = OmpSsRuntime(machine, "versioning", fault_plan=plan, recovery=policy)
+        with rt:
+            app.master(rt)
+        res = rt.result()
+        assert res.tasks_completed == 64
+        res.validate()
+        return res
+
+    def test_hung_copy_and_hung_original_are_both_recovered(self):
+        res = self.run()
+        assert res.resilience.hangs == 2
+        copy_expiry = records(res.trace, "straggler")[1]
+        assert copy_expiry.worker == "w:smp0"
+        assert [r.category for r in res.trace
+                if r.meta and r.meta[0] == copy_expiry.meta[0]
+                and r.end == copy_expiry.end] == ["straggler", "spec-abort", "aborted", "retry"]
+
+    def test_hung_copy_of_a_parked_original_is_retried(self):
+        # gpu0 dies under the hung original after the copy launched, so
+        # the original is parked; the copy's expiry re-readies it
+        res = self.run(worker_failures=(WorkerFailure("gpu0", 0.0005),))
+        assert res.resilience.worker_failures == 1
+        assert len(records(res.trace, "aborted")) == 1  # gpu0's death only
+
+    def test_faulted_copy_of_a_parked_original_is_retried(self):
+        res = self.run(starts=(3,), worker_failures=(WorkerFailure("gpu0", 0.00025),),
+                       task_faults=(TaskFaultRule(worker="smp0", at_starts=(4,),
+                                                  work_fraction=0.9),))
+        # the copy faults on smp0 while the original is parked
+        assert res.resilience.task_faults == 1
+        assert res.resilience.speculations_wasted == 1
 
 
 class TestClusterDeadlines:
