@@ -16,6 +16,17 @@ Protocol (write-invalidate, matching the Nanos++ software cache):
 * flushing (taskwait semantics) copies every dirty region back to its
   home space.
 
+A copy landing is bookkeeping, not a simulation event.  A copy recorded
+with the sequence number the engine reserved for its landing
+(:meth:`Directory.note_in_flight` with ``seq``) stays in flight until a
+read finds the engine past ``(lands, seq)``: :meth:`Directory.entry`,
+the accessor every query and action goes through, first moves each such
+copy into the valid set, in the state the landing event would have left.
+A per-entry earliest landing time keeps that check to one comparison
+while nothing can have landed.  A copy recorded without ``seq`` lands
+only when its owner calls :meth:`Directory.mark_valid` (the fault-plan
+path, whose landing event checks for a crashed destination).
+
 Invariants (property-tested):
 
 * every registered region is valid somewhere at all times, unless it is
@@ -29,9 +40,12 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.runtime.dataregion import DataRegion
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.engine import SimEngine
 
 
 @dataclass(frozen=True)
@@ -58,13 +72,30 @@ class _Entry:
     #: died with a crashed node); the empty-valid invariant is suspended
     #: until it lands
     recover_at: Optional[float] = None
+    #: copies the directory settles itself: (lands, seq, space), in the
+    #: order they were issued
+    landing: list[tuple[float, int, str]] = field(default_factory=list)
+    #: earliest ``lands`` in ``landing`` (inf when it is empty)
+    land_at: float = math.inf
+
+
+class _NoEngine:
+    """The clock of a directory without an engine: nothing ever lands."""
+
+    _now = -math.inf
+
+    @staticmethod
+    def passed(time: float, seq: int) -> bool:
+        return False
 
 
 class Directory:
     """Tracks validity of region copies across memory spaces."""
 
-    def __init__(self, home_space: str = "host") -> None:
+    def __init__(self, home_space: str = "host", engine: Optional["SimEngine"] = None) -> None:
         self.home_space = home_space
+        # the clock that settles copies recorded with a landing seq
+        self._engine: "SimEngine | _NoEngine" = engine if engine is not None else _NoEngine()
         # keyed by the interned region id (DataRegion.rid); directory
         # lookups run once per task dependence clause and per transfer,
         # so int keys beat hashing structured tuples.  Anything that
@@ -104,13 +135,44 @@ class Directory:
     def entry(self, region: DataRegion) -> _Entry:
         """The live copy state of ``region`` (registering it) — read-only
         by contract: the staging path fetches it once per staged region
-        instead of calling one accessor per field."""
+        instead of calling one accessor per field.
+
+        Copies whose landing the engine has passed are settled first, so
+        the state is current at the engine's cursor; hold the entry no
+        longer than the current event.
+        """
         entry = self._entries.get(region.rid)
         if entry is None:
             entry = self._entries[region.rid] = _Entry(
                 region, {self.home_space}, None
             )
+        elif entry.land_at <= self._engine._now:
+            self._settle(entry)
         return entry
+
+    def _settle(self, entry: _Entry) -> None:
+        """Land every recorded copy the engine has passed.
+
+        A landing does what :meth:`mark_valid` does: it adds its space
+        to the valid set and drops the space's in-flight record, even
+        one a later copy toward the same space wrote.
+        """
+        passed = self._engine.passed
+        pending: list[tuple[float, int, str]] = []
+        land_at = math.inf
+        valid = entry.valid
+        inflight = entry.inflight
+        for rec in entry.landing:
+            lands, seq, space = rec
+            if passed(lands, seq):
+                valid.add(space)
+                inflight.pop(space, None)
+            else:
+                pending.append(rec)
+                if lands < land_at:
+                    land_at = lands
+        entry.landing = pending
+        entry.land_at = land_at
 
     def valid_spaces(self, region: DataRegion) -> set[str]:
         return set(self.entry(region).valid)
@@ -178,9 +240,21 @@ class Directory:
             return None
         return TransferRequest(region, self.choose_source(region, space), space)
 
-    def note_in_flight(self, region: DataRegion, space: str, lands: float) -> None:
-        """A copy of ``region`` toward ``space`` is on the wire until ``lands``."""
-        self.entry(region).inflight[space] = lands
+    def note_in_flight(
+        self, region: DataRegion, space: str, lands: float, seq: Optional[int] = None
+    ) -> None:
+        """A copy of ``region`` toward ``space`` is on the wire until ``lands``.
+
+        With ``seq`` (reserved from the engine for the landing), the
+        directory lands the copy itself once the engine passes
+        ``(lands, seq)``; without it, the caller calls :meth:`mark_valid`.
+        """
+        entry = self.entry(region)
+        entry.inflight[space] = lands
+        if seq is not None:
+            entry.landing.append((lands, seq, space))
+            if lands < entry.land_at:
+                entry.land_at = lands
 
     def mark_valid(self, region: DataRegion, space: str) -> None:
         """A copy into ``space`` landed (dirtiness is unchanged)."""
@@ -252,7 +326,9 @@ class Directory:
         the landing time; until :meth:`note_recovered` (or a superseding
         write), :meth:`check_invariants` tolerates their empty valid set.
 
-        Deterministic: regions are visited in sorted key order.
+        Deterministic: regions are visited in sorted key order.  Only
+        fault-plan runs crash nodes, and they record their copies
+        without a landing seq, so no recorded landing is left to settle.
         """
         lost: list[DataRegion] = []
         for entry in sorted(self._entries.values(), key=lambda e: repr(e.region.key)):

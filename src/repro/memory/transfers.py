@@ -107,9 +107,10 @@ class TransferEngine:
 
     Each directed link is a serial resource: a transfer requested while
     the link is busy queues behind the transfers already issued (FIFO,
-    matching one DMA stream per PCIe direction).  Completion runs an
-    optional callback — the runtime uses it to mark the destination copy
-    valid in the directory.
+    matching one DMA stream per PCIe direction).  Completion may run an
+    optional callback as a simulation event; the runtime passes one only
+    under a fault plan, and otherwise lets the directory settle the
+    landing on read.
     """
 
     def __init__(
@@ -210,9 +211,11 @@ class TransferEngine:
         (defaults to now); the actual start also waits for the link(s).
         Endpoints without a direct link are *routed* (staged copies via
         intermediate spaces — the cluster case); each hop serialises on
-        its own link and is accounted separately.  The completion
-        callback fires as a simulation event exactly at the returned
-        time.
+        its own link and is accounted separately.  An ``on_complete``
+        callback is scheduled as a ``TRANSFER_END`` event exactly at the
+        returned time; without one the transfer schedules nothing, and
+        the caller records the landing itself (the runtime reserves its
+        seq from the engine and lets the directory settle it on read).
 
         With a resilience manager attached, each hop attempt may be
         failed by the fault plan; failed attempts are retried after a

@@ -259,7 +259,7 @@ class OmpSsRuntime:
         self.config = config or RuntimeConfig()
         self.engine = SimEngine()
         self.trace = Trace()
-        self.directory = Directory(HOST_SPACE)
+        self.directory = Directory(HOST_SPACE, self.engine)
         # recovery is installed only when the inputs need it: a fault
         # plan that injects something, or a policy that speculates; the
         # transfer engine consults it only for injected faults
@@ -673,18 +673,26 @@ class OmpSsRuntime:
     def _copy(self, req: TransferRequest, earliest: Optional[float] = None) -> float:
         """Issue one copy and record it in the directory as in flight.
 
-        Returns the copy's completion time; on completion the directory
-        marks the destination valid, unless its node died meanwhile.
+        Returns the copy's completion time.  Without a fault plan the
+        landing is no event: the directory settles the copy once the
+        engine passes the landing's reserved ``(time, seq)``.  With one,
+        a landing event marks the destination valid unless its node
+        died meanwhile.
         """
         region = req.region
         dst = req.dst
         directory = self.directory
+        transfer_engine = self.transfer_engine
+        if transfer_engine.resilience is None:
+            done = transfer_engine.issue(req, earliest=earliest)
+            directory.note_in_flight(region, dst, done, self.engine.reserve_seq(done))
+            return done
 
         def _done() -> None:
-            if dst not in self.transfer_engine.down_spaces:
+            if dst not in transfer_engine.down_spaces:
                 directory.mark_valid(region, dst)
 
-        done = self.transfer_engine.issue(req, earliest=earliest, on_complete=_done)
+        done = transfer_engine.issue(req, earliest=earliest, on_complete=_done)
         directory.note_in_flight(region, dst, done)
         return done
 

@@ -25,6 +25,19 @@ one-event-per-call :meth:`step` path, so both modes raise
 :class:`WallDeadlineExceededError` at identical points.  The golden-trace
 suite (``tests/sim/test_trace_golden.py``) pins the traces this core
 produces byte for byte.
+
+Occurrences without events
+--------------------------
+Some occurrences only change bookkeeping that is read later (a copy
+landing in the coherence directory).  They take a place in the event
+order without an event: :meth:`SimEngine.reserve_seq` hands out the next
+sequence number, and the reader compares ``(time, seq)`` against the
+engine's cursor — :attr:`SimEngine.now` and the seq of the event it last
+ran — to learn whether the occurrence has happened, exactly as if it had
+been an event.  A run that reaches ``until`` counts every sequence
+number handed out so far as passed; a run that drains the queue also
+moves the clock to the latest reserved occurrence, where the last event
+would have left it.
 """
 
 from __future__ import annotations
@@ -260,6 +273,11 @@ class SimEngine:
         self._heap = EventHeap()
         self._seq = 0
         self._now: float = 0.0
+        #: seq of the event run last; with ``_now`` the cursor that
+        #: reserved occurrences (:meth:`reserve_seq`) compare against
+        self._last_seq = -1
+        #: latest time of a reserved occurrence
+        self._horizon: float = 0.0
         self._events_processed: int = 0
         self._running = False
         #: Absolute ``time.perf_counter`` deadline; ``None`` disables the
@@ -273,6 +291,16 @@ class SimEngine:
     def now(self) -> float:
         """Current simulated time (seconds)."""
         return self._now
+
+    def passed(self, time: float, seq: int) -> bool:
+        """Whether the occurrence ordered at ``(time, seq)`` has happened.
+
+        The cursor is :attr:`now` and the seq of the event run last; a
+        bounded :meth:`run` that reaches ``until``, and any drain of the
+        queue, count every seq handed out so far as passed.
+        """
+        now = self._now
+        return time < now or (time == now and seq <= self._last_seq)
 
     @property
     def events_processed(self) -> int:
@@ -325,6 +353,29 @@ class SimEngine:
             raise ValueError(f"negative delay: {delay}")
         return self.schedule(self._now + delay, callback, kind=kind, label=label)
 
+    def reserve_seq(self, time: float) -> int:
+        """Take a place in the event order for an occurrence at ``time``.
+
+        The occurrence gets no event: whoever records it settles it when
+        :meth:`passed` says the engine went past ``(time, seq)``, so ties
+        with real events resolve exactly as the heap would order them.
+        """
+        if time < self._now:
+            raise ValueError(
+                f"cannot reserve t={time} before current time t={self._now}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        if time > self._horizon:
+            self._horizon = time
+        return seq
+
+    def _drained(self) -> None:
+        """The queue is empty: every reserved occurrence has happened."""
+        if self._horizon > self._now:
+            self._now = self._horizon
+        self._last_seq = self._seq - 1
+
     def schedule_every(
         self,
         interval: float,
@@ -372,10 +423,12 @@ class SimEngine:
             self._check_wall_deadline()
         ev = self._heap.pop()
         if ev is None:
+            self._drained()
             return False
         if ev.time < self._now:  # pragma: no cover - defensive
             raise RuntimeError("event queue yielded an event in the past")
         self._now = ev.time
+        self._last_seq = ev.seq
         self._events_processed += 1
         ev.callback()
         return True
@@ -389,7 +442,9 @@ class SimEngine:
             If given, stop once the next event would fire strictly after
             ``until``.  A bounded run always lands the clock exactly on
             ``until`` (unless it is already past it), even when the
-            queue is empty or drains early.
+            queue is empty or drains early.  Without ``until``, a run
+            that drains the queue leaves the clock at the latest
+            reserved occurrence if that is later than the last event.
         max_events:
             Safety valve; execute at most this many events, raising
             :class:`RuntimeError` if another would follow (catches
@@ -430,11 +485,15 @@ class SimEngine:
                 if ev is None:  # pragma: no cover - peek_time guarantees one
                     break
                 self._now = ev.time
+                self._last_seq = ev.seq
                 self._events_processed += 1
                 ev.callback()
                 executed += 1
-            if until is not None and until > self._now:
+            if until is None:
+                self._drained()
+            elif until >= self._now:
                 self._now = until
+                self._last_seq = self._seq - 1
         finally:
             self._running = False
         return executed
@@ -454,7 +513,9 @@ class SimEngine:
         event at the same ordinals as :meth:`step`.
 
         Returns ``True`` when ``cond()`` went falsy, ``False`` when the
-        queue drained first (the caller's deadlock case).  ``guard``
+        queue drained first (the caller's deadlock case).  ``cond`` is
+        evaluated between events only, so it must not wait on a reserved
+        occurrence (:meth:`reserve_seq`).  ``guard``
         reproduces the runtime's ``max_events`` safety valve: once the
         total processed-event count exceeds it, :class:`RuntimeError` is
         raised exactly as the stepped loop did.
@@ -469,8 +530,10 @@ class SimEngine:
                 self._check_wall_deadline()
             ev = heap.pop()
             if ev is None:
+                self._drained()
                 return False
             self._now = ev.time
+            self._last_seq = ev.seq
             self._events_processed += 1
             ev.callback()
             if guard is not None and self._events_processed > guard:
@@ -485,6 +548,8 @@ class SimEngine:
         self._heap.clear()
         self._seq = 0
         self._now = 0.0
+        self._last_seq = -1
+        self._horizon = 0.0
         self._events_processed = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -375,3 +375,81 @@ class TestWallDeadlineModeEquivalence:
         with pytest.raises(WallDeadlineExceededError):
             ref.run()
         assert mixed == ref.events_processed
+
+
+class TestReservedOccurrences:
+    """``reserve_seq`` places an occurrence in the event order without an event."""
+
+    def test_tie_with_an_event_follows_seq_order(self):
+        eng = SimEngine()
+        seen = []
+        eng.schedule(1.0, lambda: seen.append(eng.passed(1.0, early)))
+        early = eng.reserve_seq(1.0)  # after the first event's seq
+        eng.schedule(1.0, lambda: seen.append(eng.passed(1.0, early)))
+        eng.run()
+        assert seen == [False, True]
+        assert eng.events_processed == 2
+
+    def test_reserved_seq_is_shared_with_events(self):
+        eng = SimEngine()
+        a = eng.reserve_seq(0.5)
+        ev = eng.schedule(0.5, lambda: None)
+        assert ev.seq == a + 1
+
+    def test_reserving_in_the_past_rejected(self):
+        eng = SimEngine()
+        eng.run(until=1.0)
+        with pytest.raises(ValueError, match="before current time"):
+            eng.reserve_seq(0.5)
+
+    def test_run_until_counts_every_handed_out_seq_as_passed(self):
+        eng = SimEngine()
+        at_two = eng.reserve_seq(2.0)
+        later = eng.reserve_seq(2.5)
+        eng.run(until=1.0)
+        assert not eng.passed(2.0, at_two)
+        eng.run(until=2.0)
+        assert eng.now == 2.0
+        assert eng.passed(2.0, at_two)
+        assert not eng.passed(2.5, later)
+
+    def test_run_until_reached_by_an_event_passes_later_ties(self):
+        eng = SimEngine()
+        eng.schedule(2.0, lambda: None)
+        tie = eng.reserve_seq(2.0)
+        eng.run(until=2.0)
+        assert eng.passed(2.0, tie)
+
+    def test_run_until_in_the_past_moves_nothing(self):
+        eng = SimEngine()
+        eng.schedule(1.0, lambda: None)
+        eng.run()
+        tie = eng.reserve_seq(1.0)
+        eng.run(until=0.5)
+        assert eng.now == 1.0
+        assert not eng.passed(1.0, tie)
+
+    def test_drained_run_moves_the_clock_to_the_last_occurrence(self):
+        eng = SimEngine()
+        eng.schedule(1.0, lambda: None)
+        seq = eng.reserve_seq(3.0)
+        assert eng.run() == 1
+        assert eng.now == 3.0
+        assert eng.passed(3.0, seq)
+
+    def test_drained_run_while_and_step_pass_every_occurrence(self):
+        for drain in (lambda e: e.run_while(lambda: True), lambda e: e.step()):
+            eng = SimEngine()
+            seq = eng.reserve_seq(2.0)
+            assert drain(eng) is False
+            assert (eng.now, eng.passed(2.0, seq)) == (2.0, True)
+
+    def test_reset_forgets_the_cursor(self):
+        eng = SimEngine()
+        eng.reserve_seq(2.0)
+        eng.run()
+        eng.reset()
+        assert eng.now == 0.0
+        assert not eng.passed(0.0, 0)
+        eng.run()
+        assert eng.now == 0.0

@@ -7,6 +7,6 @@ def test_profile_counts_and_unknown_workload(capsys):
     assert main(["--profile", "--workload", "matmul8-node-versioning", "--top", "3"]) == 0
     out, err = capsys.readouterr()
     assert "function calls" in out
-    assert "[811 events, 512 tasks]" in err
+    assert "[537 events, 512 tasks]" in err
     assert main(["--profile", "--workload", "no-such-workload"]) == 2
     assert "unknown workload 'no-such-workload'" in capsys.readouterr().err
