@@ -16,16 +16,18 @@ Protocol (write-invalidate, matching the Nanos++ software cache):
 * flushing (taskwait semantics) copies every dirty region back to its
   home space.
 
-A copy landing is bookkeeping, not a simulation event.  A copy recorded
-with the sequence number the engine reserved for its landing
-(:meth:`Directory.note_in_flight` with ``seq``) stays in flight until a
-read finds the engine past ``(lands, seq)``: :meth:`Directory.entry`,
-the accessor every query and action goes through, first moves each such
-copy into the valid set, in the state the landing event would have left.
-A per-entry earliest landing time keeps that check to one comparison
-while nothing can have landed.  A copy recorded without ``seq`` lands
-only when its owner calls :meth:`Directory.mark_valid` (the fault-plan
-path, whose landing event checks for a crashed destination).
+A copy landing is bookkeeping, not a simulation event, and every copy
+lands the same way.  A copy is recorded with the sequence number the
+engine reserved for its landing (:meth:`Directory.note_in_flight`) and
+stays in flight until a read finds the engine past ``(lands, seq)``:
+:meth:`Directory.entry`, the accessor every query and action goes
+through, first moves each such copy into the valid set, in the state a
+landing event would have left.  A per-entry earliest landing time keeps
+that check to one comparison while nothing can have landed.  A node
+crash (:meth:`Directory.invalidate_spaces`) settles what has landed,
+then drops the copies still in flight toward the dead spaces: they are
+lost, and never become valid, even if the node rejoins before they
+would have landed.
 
 Invariants (property-tested):
 
@@ -66,7 +68,8 @@ class _Entry:
     region: DataRegion
     valid: set[str]
     dirty_owner: Optional[str]  # space holding the sole authoritative copy
-    #: space -> landing time of the copy on the wire toward it
+    #: space -> landing time of the copy on the wire toward it; every
+    #: space here has a record in ``landing`` still to land
     inflight: dict[str, float] = field(default_factory=dict)
     #: landing time of the crash recomputation (None unless every copy
     #: died with a crashed node); the empty-valid invariant is suspended
@@ -79,23 +82,13 @@ class _Entry:
     land_at: float = math.inf
 
 
-class _NoEngine:
-    """The clock of a directory without an engine: nothing ever lands."""
-
-    _now = -math.inf
-
-    @staticmethod
-    def passed(time: float, seq: int) -> bool:
-        return False
-
-
 class Directory:
     """Tracks validity of region copies across memory spaces."""
 
-    def __init__(self, home_space: str = "host", engine: Optional["SimEngine"] = None) -> None:
+    def __init__(self, engine: "SimEngine", home_space: str = "host") -> None:
         self.home_space = home_space
-        # the clock that settles copies recorded with a landing seq
-        self._engine: "SimEngine | _NoEngine" = engine if engine is not None else _NoEngine()
+        # the clock that settles copies in flight
+        self._engine = engine
         # keyed by the interned region id (DataRegion.rid); directory
         # lookups run once per task dependence clause and per transfer,
         # so int keys beat hashing structured tuples.  Anything that
@@ -150,12 +143,13 @@ class Directory:
             self._settle(entry)
         return entry
 
-    def _settle(self, entry: _Entry) -> None:
-        """Land every recorded copy the engine has passed.
+    def _settle(self, entry: _Entry, dead: "set[str] | frozenset[str]" = frozenset()) -> None:
+        """Land every recorded copy the engine has passed; forget the
+        copies still in flight toward a ``dead`` space.
 
-        A landing does what :meth:`mark_valid` does: it adds its space
-        to the valid set and drops the space's in-flight record, even
-        one a later copy toward the same space wrote.
+        A landing adds its space to the valid set (dirtiness is
+        unchanged) and drops the space's in-flight record, even one a
+        later copy toward the same space wrote.
         """
         passed = self._engine.passed
         pending: list[tuple[float, int, str]] = []
@@ -166,6 +160,8 @@ class Directory:
             lands, seq, space = rec
             if passed(lands, seq):
                 valid.add(space)
+                inflight.pop(space, None)
+            elif space in dead:
                 inflight.pop(space, None)
             else:
                 pending.append(rec)
@@ -240,27 +236,18 @@ class Directory:
             return None
         return TransferRequest(region, self.choose_source(region, space), space)
 
-    def note_in_flight(
-        self, region: DataRegion, space: str, lands: float, seq: Optional[int] = None
-    ) -> None:
+    def note_in_flight(self, region: DataRegion, space: str, lands: float, seq: int) -> None:
         """A copy of ``region`` toward ``space`` is on the wire until ``lands``.
 
-        With ``seq`` (reserved from the engine for the landing), the
-        directory lands the copy itself once the engine passes
-        ``(lands, seq)``; without it, the caller calls :meth:`mark_valid`.
+        ``seq`` is the place the engine reserved for the landing
+        (:meth:`SimEngine.reserve_seq`): the directory lands the copy
+        itself once the engine passes ``(lands, seq)``.
         """
         entry = self.entry(region)
         entry.inflight[space] = lands
-        if seq is not None:
-            entry.landing.append((lands, seq, space))
-            if lands < entry.land_at:
-                entry.land_at = lands
-
-    def mark_valid(self, region: DataRegion, space: str) -> None:
-        """A copy into ``space`` landed (dirtiness is unchanged)."""
-        entry = self.entry(region)
-        entry.valid.add(space)
-        entry.inflight.pop(space, None)
+        entry.landing.append((lands, seq, space))
+        if lands < entry.land_at:
+            entry.land_at = lands
 
     def note_write(self, region: DataRegion, space: str) -> None:
         """A task on ``space`` wrote ``region``: invalidate all other copies."""
@@ -317,24 +304,25 @@ class Directory:
     def invalidate_spaces(self, spaces: "set[str]") -> list[DataRegion]:
         """Every copy held by ``spaces`` is gone (the node crashed).
 
-        Removes the dead spaces from all valid sets and drops the copies
-        in flight toward them.  A dirty owner that died is repaired: if
-        the home space survives among the valid copies the region is
-        simply clean again, otherwise a surviving valid space is
-        promoted to owner.  Regions left with *no* valid copy are
-        returned, under recovery until :meth:`note_recomputing` gives
-        the landing time; until :meth:`note_recovered` (or a superseding
-        write), :meth:`check_invariants` tolerates their empty valid set.
+        First settles every copy the engine has passed, so a copy that
+        already landed in a surviving space counts before a region is
+        declared lost.  Then removes the dead spaces from all valid sets
+        and drops the copies in flight toward them: those copies are
+        lost, and stay lost if the node rejoins before they would have
+        landed.  A dirty owner that died is repaired: if the home space
+        survives among the valid copies the region is simply clean
+        again, otherwise a surviving valid space is promoted to owner.
+        Regions left with *no* valid copy are returned, under recovery
+        until :meth:`note_recomputing` gives the landing time; until
+        :meth:`note_recovered` (or a superseding write),
+        :meth:`check_invariants` tolerates their empty valid set.
 
-        Deterministic: regions are visited in sorted key order.  Only
-        fault-plan runs crash nodes, and they record their copies
-        without a landing seq, so no recorded landing is left to settle.
+        Deterministic: regions are visited in sorted key order.
         """
         lost: list[DataRegion] = []
         for entry in sorted(self._entries.values(), key=lambda e: repr(e.region.key)):
-            inflight = entry.inflight
-            for s in [s for s in inflight if s in spaces]:
-                del inflight[s]
+            if entry.landing:
+                self._settle(entry, spaces)
             if not (entry.valid & spaces) and entry.dirty_owner not in spaces:
                 continue
             entry.valid -= spaces

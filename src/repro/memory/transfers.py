@@ -107,10 +107,10 @@ class TransferEngine:
 
     Each directed link is a serial resource: a transfer requested while
     the link is busy queues behind the transfers already issued (FIFO,
-    matching one DMA stream per PCIe direction).  Completion may run an
-    optional callback as a simulation event; the runtime passes one only
-    under a fault plan, and otherwise lets the directory settle the
-    landing on read.
+    matching one DMA stream per PCIe direction).  A transfer schedules
+    no event: :meth:`issue` returns its completion time, and the caller
+    records the landing (the runtime lets the directory settle it on
+    read).
     """
 
     def __init__(
@@ -198,24 +198,17 @@ class TransferEngine:
         channels[ch] = end
         return start, end
 
-    def issue(
-        self,
-        request: TransferRequest,
-        *,
-        earliest: Optional[float] = None,
-        on_complete: Optional[Callable[[], None]] = None,
-    ) -> float:
+    def issue(self, request: TransferRequest, *, earliest: Optional[float] = None) -> float:
         """Issue a transfer; returns its completion (simulated) time.
 
         ``earliest`` is the earliest moment the transfer may begin
         (defaults to now); the actual start also waits for the link(s).
         Endpoints without a direct link are *routed* (staged copies via
         intermediate spaces — the cluster case); each hop serialises on
-        its own link and is accounted separately.  An ``on_complete``
-        callback is scheduled as a ``TRANSFER_END`` event exactly at the
-        returned time; without one the transfer schedules nothing, and
-        the caller records the landing itself (the runtime reserves its
-        seq from the engine and lets the directory settle it on read).
+        its own link and is accounted separately.  The transfer
+        schedules nothing: the caller records the landing itself (the
+        runtime reserves its seq from the engine and lets the directory
+        settle it on read).
 
         With a resilience manager attached, each hop attempt may be
         failed by the fault plan; failed attempts are retried after a
@@ -269,13 +262,6 @@ class TransferEngine:
                     )
                 end = hop_end + resilience.transfer_retry(attempt)
                 attempt += 1
-        if on_complete is not None:
-            self.engine.schedule(
-                end,
-                on_complete,
-                kind=EventKind.TRANSFER_END,
-                label=f"xfer {request.region.label} {request.src}->{request.dst}",
-            )
         return end
 
     # ------------------------------------------------------------------

@@ -11,7 +11,14 @@ nothing found (DESIGN.md §17 has the numbers).
 from __future__ import annotations
 
 import gc
+import threading
 from typing import Any
+
+#: makes an entry's check-then-disable atomic against another run's
+#: resume: without it, an entry that finds the collector paused can
+#: disable it again just after the pausing run resumed it, and the
+#: collector stays off once every run has ended
+_TOGGLE = threading.Lock()
 
 
 class CyclicGCPause:
@@ -32,11 +39,13 @@ class CyclicGCPause:
         self._paused = False
 
     def __enter__(self) -> "CyclicGCPause":
-        self._paused = gc.isenabled()
-        gc.disable()
+        with _TOGGLE:
+            self._paused = gc.isenabled()
+            gc.disable()
         return self
 
     def __exit__(self, *exc: Any) -> None:
         if self._paused:
             self._paused = False
-            gc.enable()
+            with _TOGGLE:
+                gc.enable()

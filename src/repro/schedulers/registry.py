@@ -10,6 +10,7 @@ equivalent: policies register under one or more names, and
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
@@ -116,15 +117,28 @@ def scheduler_from_env(default: str = "dep", **options: Any) -> Scheduler:
     return create_scheduler(os.environ.get(ENV_VAR, default), **options)
 
 
+#: set once every built-in policy is registered
 _BOOTSTRAPPED = False
+_bootstrapping = False
+#: runs on other threads wait for the registration in progress instead
+#: of looking up a name it has not registered yet
+_BOOTSTRAP_LOCK = threading.RLock()
 
 
 def _ensure_builtin() -> None:
     """Register built-in policies lazily (avoids import cycles)."""
-    global _BOOTSTRAPPED
+    global _BOOTSTRAPPED, _bootstrapping
     if _BOOTSTRAPPED:
         return
-    _BOOTSTRAPPED = True
+    with _BOOTSTRAP_LOCK:
+        if _BOOTSTRAPPED or _bootstrapping:  # done, or re-entered by an import below
+            return
+        _bootstrapping = True
+        _register_builtin()
+        _BOOTSTRAPPED = True
+
+
+def _register_builtin() -> None:
     from repro.schedulers.affinity import AffinityScheduler
     from repro.schedulers.breadth_first import BreadthFirstScheduler
     from repro.schedulers.dependency_aware import DependencyAwareScheduler

@@ -77,18 +77,14 @@ class EventKind(Enum):
     """Classification of simulation events, used for tracing and debugging."""
 
     GENERIC = "generic"
-    TASK_START = "task-start"
     TASK_END = "task-end"
     TASK_FAIL = "task-fail"
-    TRANSFER_START = "transfer-start"
-    TRANSFER_END = "transfer-end"
     WORKER_WAKE = "worker-wake"
     WORKER_DOWN = "worker-down"
     RETRY = "retry"
     RUNTIME = "runtime"
     WATCHDOG = "watchdog"
     NOTIFY = "notify"
-    STEAL = "steal"
     NODE_DOWN = "node-down"
     NODE_UP = "node-up"
     RETRANSMIT = "retransmit"

@@ -7,9 +7,11 @@ import pytest
 from repro.apps.cholesky import CholeskyApp
 from repro.apps.matmul import MatmulApp
 from repro.apps.pbpi import PBPIApp
+from repro.memory.directory import Directory
 from repro.runtime.dataregion import DataRegion
 from repro.runtime.directives import task
 from repro.runtime.runtime import OmpSsRuntime, RuntimeConfig
+from repro.sim.engine import SimEngine
 from repro.sim.perfmodel import AffineBytesCostModel, FixedCostModel
 from repro.sim.topology import minotauro_node
 
@@ -106,6 +108,20 @@ def make_two_version_task(
 
 def region(key, nbytes=MB, label=""):
     return DataRegion(key, nbytes, label=label or str(key))
+
+
+def new_directory() -> Directory:
+    """A coherence directory on an engine of its own."""
+    return Directory(SimEngine())
+
+
+def mark_valid(directory: Directory, region: DataRegion, space: str) -> None:
+    """Land a copy of ``region`` in ``space`` now, the way the runtime
+    does: in flight under a seq reserved from the directory's engine,
+    settled once a bounded run passes it."""
+    eng = directory._engine
+    directory.note_in_flight(region, space, eng.now, eng.reserve_seq(eng.now))
+    eng.run(until=eng.now)
 
 
 def run_tasks(machine, scheduler, calls, config=None, scheduler_options=None):

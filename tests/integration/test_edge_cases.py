@@ -36,13 +36,14 @@ class TestEngineEdges:
 
 class TestDirectoryEdges:
     def test_choose_source_deterministic_among_peers(self):
-        from repro.memory.directory import Directory
         from repro.runtime.dataregion import DataRegion
 
-        d = Directory()
+        from tests.conftest import mark_valid, new_directory
+
+        d = new_directory()
         r = DataRegion("x", 10)
         d.note_write(r, "gpu1")
-        d.mark_valid(r, "gpu0")
+        mark_valid(d, r, "gpu0")
         # host invalid; min() of {gpu0, gpu1}
         assert d.choose_source(r, "gpu2") == "gpu0"
 

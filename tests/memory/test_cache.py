@@ -9,6 +9,8 @@ from repro.runtime.dataregion import DataRegion
 from repro.sim.engine import SimEngine
 from repro.sim.topology import MachineSpec, minotauro_node
 
+from tests.conftest import mark_valid
+
 MB = 1024**2
 
 
@@ -17,7 +19,7 @@ def setup(gpu_mem=10 * MB):
     machine = minotauro_node(
         spec=MachineSpec(n_smp=1, n_gpus=2, gpu_memory_bytes=gpu_mem, noise_cv=0.0)
     )
-    directory = Directory()
+    directory = Directory(eng)
     te = TransferEngine(eng, machine)
     cache = CacheManager(machine, directory, te)
     return eng, directory, te, cache
@@ -81,7 +83,7 @@ class TestEviction:
         a, b, c = reg("a"), reg("b"), reg("c")
         for r in (a, b):
             cache.ensure_resident("gpu0", r)
-            directory.mark_valid(r, "gpu0")
+            mark_valid(directory, r, "gpu0")
         cache.ensure_resident("gpu0", c)  # evicts LRU = a
         assert not cache.is_resident("gpu0", a)
         assert cache.is_resident("gpu0", b)
@@ -94,7 +96,7 @@ class TestEviction:
         a, b, c = reg("a"), reg("b"), reg("c")
         for r in (a, b):
             cache.ensure_resident("gpu0", r)
-            directory.mark_valid(r, "gpu0")
+            mark_valid(directory, r, "gpu0")
         cache.ensure_resident("gpu0", a)  # touch a -> b becomes LRU
         cache.ensure_resident("gpu0", c)
         assert cache.is_resident("gpu0", a)
@@ -106,7 +108,7 @@ class TestEviction:
         cache.ensure_resident("gpu0", a)
         directory.note_write(a, "gpu0")  # dirty on gpu0
         cache.ensure_resident("gpu0", b)
-        directory.mark_valid(b, "gpu0")
+        mark_valid(directory, b, "gpu0")
         cache.ensure_resident("gpu0", c)  # must write a back, then evict
         assert cache.stats.writebacks == 1
         assert cache.stats.writeback_bytes == 4 * MB
@@ -119,10 +121,10 @@ class TestEviction:
         _, directory, _, cache = setup(gpu_mem=10 * MB)
         a, b = reg("a"), reg("b")
         cache.ensure_resident("gpu0", a)
-        directory.mark_valid(a, "gpu0")
+        mark_valid(directory, a, "gpu0")
         cache.pin("gpu0", a)
         cache.ensure_resident("gpu0", b)
-        directory.mark_valid(b, "gpu0")
+        mark_valid(directory, b, "gpu0")
         c = reg("c")
         cache.ensure_resident("gpu0", c)  # must evict b, not pinned a
         assert cache.is_resident("gpu0", a)
@@ -148,7 +150,7 @@ class TestInvalidation:
         _, directory, _, cache = setup()
         r = reg("x")
         cache.ensure_resident("gpu0", r)
-        directory.mark_valid(r, "gpu0")
+        mark_valid(directory, r, "gpu0")
         directory.note_write(r, "gpu1")
         cache.invalidate_stale_everywhere(r, "gpu1")
         assert not cache.is_resident("gpu0", r)

@@ -85,14 +85,6 @@ class TestTransferEngine:
         end = te.issue(req("x", 6 * 10**9, "host", "gpu0"), earliest=5.0)
         assert end == pytest.approx(6.0 + 15e-6)
 
-    def test_callback_fires_at_completion(self):
-        eng, machine, te = setup()
-        seen = []
-        te.issue(req("x", 6 * 10**9, "host", "gpu0"),
-                 on_complete=lambda: seen.append(eng.now))
-        eng.run()
-        assert seen == [pytest.approx(1.0 + 15e-6)]
-
     def test_stats_recorded(self):
         eng, machine, te = setup()
         te.issue(req("x", 4 * MB, "host", "gpu0"))
