@@ -52,6 +52,9 @@ class _RegionHistory:
     readers_since_write: list[TaskInstance] = field(default_factory=list)
 
 
+#: what the aliasing check does on an overlap (see the module docstring)
+ALIAS_POLICIES = ("off", "report", "reject")
+
 #: edge-strength ranking for _note_dep (RAW > WAW > WAR)
 _DEP_ORDER = {DepKind.RAW: 0, DepKind.WAW: 1, DepKind.WAR: 2}
 
@@ -59,12 +62,7 @@ _DEP_ORDER = {DepKind.RAW: 0, DepKind.WAW: 1, DepKind.WAR: 2}
 class DependenceGraph:
     """Builds and tracks the task DAG as tasks are submitted and retire."""
 
-    def __init__(
-        self,
-        *,
-        check_aliasing: bool = False,
-        alias_policy: Optional[str] = None,
-    ) -> None:
+    def __init__(self, *, alias_policy: str = "off") -> None:
         # keyed by the interned region id (DataRegion.rid), not the
         # structured key — dependence matching is per-submission × per-
         # clause, and int lookups skip tuple hashing entirely
@@ -74,9 +72,7 @@ class DependenceGraph:
         self._in_edges: dict[int, list[DepEdge]] = {}
         self._out_edges: dict[int, list[DepEdge]] = {}
         self._unfinished: set[int] = set()
-        if alias_policy is None:
-            alias_policy = "reject" if check_aliasing else "off"
-        if alias_policy not in ("off", "report", "reject"):
+        if alias_policy not in ALIAS_POLICIES:
             raise ValueError(f"unknown alias_policy {alias_policy!r}")
         self.alias_policy = alias_policy
         # interval index for the aliasing check: sorted list of

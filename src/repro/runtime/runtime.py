@@ -40,7 +40,7 @@ from repro.resilience.recovery import (
 )
 from repro.runtime import context
 from repro.runtime.dataregion import DataRegion
-from repro.runtime.dependences import DependenceGraph
+from repro.runtime.dependences import ALIAS_POLICIES, DependenceGraph
 from repro.runtime.gcpause import CyclicGCPause
 from repro.runtime.task import TaskInstance, TaskState, TaskVersion
 from repro.runtime.worker import Worker
@@ -75,11 +75,9 @@ class RuntimeConfig:
     max_in_flight_tasks: Optional[int] = None
     flush_on_wait: bool = True
     execute_bodies: bool = True
-    check_aliasing: bool = False
-    #: Aliasing policy for the dependence graph: ``None`` derives it
-    #: from ``check_aliasing`` ("reject" vs "off"); "report" collects
-    #: SAN-R003 sanitizer diagnostics instead of raising.
-    alias_policy: Optional[str] = None
+    #: Aliasing policy for the dependence graph: "off", "report"
+    #: (collect SAN-R003 sanitizer diagnostics) or "reject" (raise).
+    alias_policy: str = "off"
     #: Run task bodies under the sanitizer's access recorder: actual
     #: reads/writes are diffed against the declared clauses and exposed
     #: through ``RunResult.race_diagnostics()`` / ``validate()``.
@@ -107,6 +105,8 @@ class RuntimeConfig:
             raise ValueError("progress_horizon must be positive or None")
         if self.progress_stall_limit < 1:
             raise ValueError("progress_stall_limit must be >= 1")
+        if self.alias_policy not in ALIAS_POLICIES:
+            raise ValueError(f"unknown alias_policy {self.alias_policy!r}")
 
     @property
     def effective_window(self) -> int:
@@ -273,10 +273,7 @@ class OmpSsRuntime:
             resilience=self.resilience if faulty else None,
         )
         self.cache = CacheManager(machine, self.directory, self.transfer_engine)
-        self.graph = DependenceGraph(
-            check_aliasing=self.config.check_aliasing,
-            alias_policy=self.config.alias_policy,
-        )
+        self.graph = DependenceGraph(alias_policy=self.config.alias_policy)
         self.recorder = None
         if self.config.record_accesses:
             from repro.sanitizer.races import AccessRecorder

@@ -4,13 +4,14 @@ Six analyses, one diagnostic model:
 
 * **Static directive lint** (:mod:`repro.sanitizer.lint`, SAN-L*) —
   AST inspection of ``@task``/``@target`` declarations: clause names
-  missing from the signature, bodies writing inputs-only parameters,
-  duplicate clause entries, ``implements=`` clause-set mismatches.
+  missing from the signature, duplicate clause entries,
+  ``implements=`` clause-set mismatches.
 * **Effect inference** (:mod:`repro.sanitizer.static.effects`,
   SAN-S001..S005) — per-parameter read/write footprints inferred from
   task bodies (including calls and aliases) diffed against the declared
-  clauses: undeclared writes, dead clauses, downgradable inouts,
-  ``implements=`` effect disagreements, stale reads of outputs.
+  clauses: undeclared writes (a store into an inputs-only parameter
+  included), dead clauses, downgradable inouts, ``implements=`` effect
+  disagreements, stale reads of outputs.
 * **Scheduler-contract lint** (:mod:`repro.sanitizer.static.contracts`,
   SAN-S010..S013) — scheduler/cluster code mutating the trace or worker
   state it does not own, ``task_ready`` paths that can silently drop a
@@ -26,11 +27,11 @@ Six analyses, one diagnostic model:
   SAN-T*) — per-worker overlap, dependence ordering, transfer ordering,
   quarantine/death windows, λ-count consistency, run accounting.
 
-CLI: ``python -m repro.sanitizer [paths...]`` lints a source tree;
-``--static`` adds effect inference and contract lint, ``--protocol``
-adds the model-checking suite.  ``RunResult.validate()`` covers the
-dynamic analyses (``static=True`` adds the effect pre-flight over the
-run's task definitions).  Findings carry stable codes (see
+CLI: ``python -m repro.sanitizer [paths...]`` runs the one static pass
+(directive lint, effect inference and contract lint) over a source
+tree; ``--protocol`` adds the model-checking suite.
+``RunResult.validate()`` covers the dynamic analyses (``static=True``
+adds the effect pre-flight over the run's task definitions).  Findings carry stable codes (see
 :data:`repro.sanitizer.CODES`); a static finding can be waived with a
 ``# san-ignore: SAN-xxxx`` comment on the flagged line (stale waivers
 are themselves reported as SAN-L005).
@@ -46,7 +47,6 @@ from repro.sanitizer.diagnostics import (
     raise_if_errors,
 )
 from repro.sanitizer.invariants import check_run, check_trace, validate_run
-from repro.sanitizer.lint import lint_files, lint_paths
 from repro.sanitizer.races import (
     AccessRecorder,
     check_happens_before,
@@ -70,8 +70,6 @@ __all__ = [
     "check_run",
     "check_trace",
     "validate_run",
-    "lint_files",
-    "lint_paths",
     "AccessRecorder",
     "check_happens_before",
     "declared_vs_actual",

@@ -1,17 +1,16 @@
 """``python -m repro.sanitizer`` — static analysis of a source tree.
 
-Modes
------
-* default — the classic directive lint (SAN-L*),
-* ``--static`` — the full static pass: directive lint, AST effect
-  inference (SAN-S00x) and scheduler-contract lint (SAN-S01x) with
-  combined waiver accounting,
-* ``--protocol`` — additionally run the bounded protocol model checker
-  (SAN-P00x) over the shipped NotificationRouter (no paths required).
+``python -m repro.sanitizer PATHS`` runs the one static pass: directive
+lint (SAN-L*), AST effect inference (SAN-S00x) and scheduler-contract
+lint (SAN-S01x), with the ``# san-ignore`` waivers judged once across
+all three.  ``--protocol`` additionally runs the bounded protocol model
+checker (SAN-P00x) over the shipped NotificationRouter (no paths
+required); ``--small`` keeps it to the quick scenarios.
 
 Exit status: 0 when no error-severity findings (warnings alone do not
 fail; ``--strict`` promotes them), 1 when errors (or strict-promoted
-warnings) remain, 2 on usage errors.  ``--json`` prints findings as a
+warnings) remain, 2 on usage errors (no paths and no ``--protocol``,
+or ``--small`` without ``--protocol``).  ``--json`` prints findings as a
 JSON document for tooling; ``--baseline FILE`` filters findings accepted
 in a previous ``--write-baseline FILE`` run.  ``--list-codes`` documents
 every diagnostic the sanitizer (CLI *and* runtime analyses) can emit.
@@ -24,7 +23,12 @@ import json
 import sys
 
 from repro.sanitizer.diagnostics import CODES, Severity, format_diagnostics
-from repro.sanitizer.lint import lint_paths
+from repro.sanitizer.static import (
+    apply_baseline,
+    check_static,
+    load_baseline,
+    write_baseline,
+)
 
 
 def _list_codes() -> str:
@@ -43,16 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to analyse (directories are walked for *.py)",
     )
     parser.add_argument(
-        "--static",
-        action="store_true",
-        help="run the full static pass (directive lint + effect inference "
-        "+ scheduler-contract lint)",
-    )
-    parser.add_argument(
         "--protocol",
         action="store_true",
         help="also model-check the cluster notification protocol "
-        "(implies --static; paths become optional)",
+        "(paths become optional)",
     )
     parser.add_argument(
         "--small",
@@ -101,6 +99,10 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.list_codes:
         print(_list_codes())
         return 0
+    if args.small and not args.protocol:
+        parser.print_usage(sys.stderr)
+        print("error: --small only applies with --protocol", file=sys.stderr)
+        return 2
     if not args.paths and not args.protocol:
         parser.print_usage(sys.stderr)
         print(
@@ -110,21 +112,12 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
 
     try:
-        if args.static or args.protocol:
-            from repro.sanitizer.static import check_static
-
-            diags = check_static(
-                args.paths, protocol=args.protocol, small=args.small
-            )
-        else:
-            diags = lint_paths(args.paths)
+        diags = check_static(args.paths, protocol=args.protocol, small=args.small)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.write_baseline:
-        from repro.sanitizer.static import write_baseline
-
         n = write_baseline(diags, args.write_baseline)
         if not args.quiet:
             print(f"sanitizer: wrote {n} baseline entries to "
@@ -132,8 +125,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
 
     if args.baseline:
-        from repro.sanitizer.static import apply_baseline, load_baseline
-
         try:
             baseline = load_baseline(args.baseline)
         except (OSError, ValueError, json.JSONDecodeError) as exc:

@@ -37,8 +37,9 @@ CODES: dict[str, str] = {
     # -- static directive lint (SAN-Lxxx) ------------------------------
     "SAN-L001": "dependence clause names a parameter that is not in the "
                 "task function's signature",
-    "SAN-L002": "parameter is assigned/mutated in the task body but "
-                "declared only in the inputs clause",
+    "SAN-L002": "retired: an undeclared write to an inputs-only "
+                "parameter is now reported as SAN-S001 (a waiver naming "
+                "SAN-L002 suppresses nothing and is reported as SAN-L005)",
     "SAN-L003": "duplicate or conflicting clause entry (same parameter "
                 "named twice, or by two different clauses)",
     "SAN-L004": "implements= version declares a clause set that disagrees "

@@ -9,9 +9,6 @@ silently build a racy DAG:
 * **SAN-L001** — a clause names a parameter that is not in the task
   function's signature (the runtime would raise at *call* time; the lint
   catches it before any run),
-* **SAN-L002** — a parameter is assigned or mutated in the body but
-  declared only as ``inputs`` (an undeclared write: WAR/WAW edges are
-  never built),
 * **SAN-L003** — duplicate clause entries, or one parameter named by
   two different clauses,
 * **SAN-L004** — an ``implements=`` version whose clause set disagrees
@@ -28,8 +25,11 @@ Both directive spellings are understood::
     target(device="smp", implements=self.potrf)(task(...))
 
 Callable clause specs (lambdas computing region lists) cannot be checked
-statically and are skipped.  A finding is waived by putting
-``# san-ignore: SAN-Lxxx`` on the reported line.
+statically and are skipped.  A body writing a parameter declared
+inputs-only (the retired SAN-L002) is reported by effect inference as
+SAN-S001.  The lint runs inside the one static pass,
+:func:`repro.sanitizer.static.check_static`, which applies the
+``# san-ignore`` waivers.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.sanitizer.diagnostics import Diagnostic
-from repro.sanitizer.waivers import (
-    Waiver,
-    apply_waivers,
-    scan_waivers,
-    unused_waiver_diagnostics,
-)
+from repro.sanitizer.waivers import Waiver, scan_waivers
 
 CLAUSE_KINDS = ("inputs", "outputs", "inouts")
 
@@ -340,43 +335,6 @@ class _Scanner(ast.NodeVisitor):
 
 
 # ----------------------------------------------------------------------
-# Body mutation analysis (SAN-L002)
-# ----------------------------------------------------------------------
-def _root_name(node: ast.expr) -> Optional[str]:
-    """The base name of an assignment target (``p``, ``p[i]``, ``p[i][j]``,
-    ``p.attr``)."""
-    while isinstance(node, (ast.Subscript, ast.Attribute, ast.Starred)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
-def _mutated_names(fn: "ast.FunctionDef | ast.Lambda") -> dict[str, int]:
-    """Names assigned/mutated anywhere in a function body -> first line."""
-    out: dict[str, int] = {}
-    body = fn.body if isinstance(fn.body, list) else []
-
-    def note(target: ast.expr, line: int) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for el in target.elts:
-                note(el, line)
-            return
-        name = _root_name(target)
-        if name is not None and name not in out:
-            out[name] = line
-
-    for node in ast.walk(ast.Module(body=body, type_ignores=[])):
-        if isinstance(node, ast.Assign):
-            for tgt in node.targets:
-                note(tgt, node.lineno)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            if not (isinstance(node, ast.AnnAssign) and node.value is None):
-                note(node.target, node.lineno)
-        elif isinstance(node, ast.For):
-            note(node.target, node.lineno)
-    return out
-
-
-# ----------------------------------------------------------------------
 # Lint driver
 # ----------------------------------------------------------------------
 def _iter_py_files(paths: Iterable[str]) -> list[str]:
@@ -396,7 +354,7 @@ def _iter_py_files(paths: Iterable[str]) -> list[str]:
 
 
 class DirectiveLinter:
-    """Runs the four SAN-L checks over a set of source files."""
+    """Parses a set of source files and indexes their task declarations."""
 
     def __init__(self, files: Sequence[str]) -> None:
         self.modules: list[_Module] = []
@@ -440,36 +398,15 @@ class DirectiveLinter:
         return candidates[-1] if len(params) == 1 else None
 
 
-def lint_files(
-    files: Sequence[str], *, waive: bool = True
-) -> list[Diagnostic]:
-    """Run the SAN-L checks over ``files``.
-
-    With ``waive`` (the default) ``# san-ignore`` comments are applied
-    and waivers whose SAN-L codes suppressed nothing are reported as
-    SAN-L005.  The static driver passes ``waive=False`` to collect raw
-    findings and do waiver accounting centrally across all analyses.
-    """
-    linter = DirectiveLinter(files)
-    diags = collect_lint(linter)
-    if not waive:
-        return diags
-    waivers = collect_waivers(linter)
-    kept = apply_waivers(diags, waivers)
-    kept.extend(unused_waiver_diagnostics(waivers, code_prefixes=("SAN-L",)))
-    return kept
-
-
 def collect_lint(linter: DirectiveLinter) -> list[Diagnostic]:
-    """Raw (unwaived) SAN-L001..L004 findings for a built linter."""
+    """Raw (unwaived) SAN-L001/L003/L004 findings for a built linter."""
     diags: list[Diagnostic] = []
     all_decls = [(m, d) for m in linter.modules for d in m.decls]
 
-    # -- L001 / L003 / L002 per declaration -----------------------------
+    # -- L001 / L003 per declaration ------------------------------------
     for mod, decl in all_decls:
         diags.extend(_check_clause_names(mod, decl))
         diags.extend(_check_duplicates(mod, decl))
-        diags.extend(_check_body_writes(mod, decl))
 
     # -- L004 across versions -------------------------------------------
     diags.extend(_check_implements_consistency(linter, all_decls))
@@ -530,32 +467,6 @@ def _check_duplicates(mod: _Module, decl: TaskDecl) -> list[Diagnostic]:
                     file=mod.path, line=decl.line,
                 ))
             seen.setdefault(name, kind)
-    return out
-
-
-def _check_body_writes(mod: _Module, decl: TaskDecl) -> list[Diagnostic]:
-    if decl.func_node is None:
-        return []
-    inputs_only = (
-        set(decl.declared_names("inputs"))
-        - set(decl.declared_names("outputs"))
-        - set(decl.declared_names("inouts"))
-    )
-    if not inputs_only:
-        return []
-    mutated = _mutated_names(decl.func_node)
-    out = []
-    for name in sorted(inputs_only):
-        if name in mutated:
-            out.append(Diagnostic(
-                code="SAN-L002",
-                message=(
-                    f"task {decl.version_name!r}: parameter {name!r} is "
-                    f"declared inputs-only but the body assigns it (line "
-                    f"{mutated[name]}); declare it inout or output"
-                ),
-                file=mod.path, line=mutated[name],
-            ))
     return out
 
 
@@ -629,10 +540,3 @@ def _render_clauses(decl: TaskDecl) -> str:
             parts.append(f"{kind}={names}")
     return "{" + ", ".join(parts) + "}"
 
-
-def lint_paths(paths: Iterable[str]) -> list[Diagnostic]:
-    """Lint every ``.py`` file under the given files/directories."""
-    files = _iter_py_files(paths)
-    if not files:
-        return []
-    return lint_files(files)

@@ -9,8 +9,8 @@ Three source-level analyses share one driver:
 * :mod:`repro.sanitizer.static.modelcheck` — bounded exploration of the
   cluster notification protocol (SAN-P001..P004).
 
-:func:`check_static` runs the first two together with the classic
-directive lint (SAN-L*) over a file set, does *central* waiver
+:func:`check_static` is the one static pass: it runs the first two
+together with the directive lint (SAN-L*) over a file set, does waiver
 accounting (a ``# san-ignore`` that suppressed nothing anywhere in the
 combined pass is reported as SAN-L005), and optionally appends the
 protocol verification suite.

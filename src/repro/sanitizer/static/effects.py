@@ -1,7 +1,7 @@
 """AST effect inference: what a task body *really* does to each parameter.
 
 The directive lint (SAN-L*) checks the declared clauses against the
-function signature and direct assignments; this module goes deeper and
+function signature; this module checks them against the body: it
 infers a per-parameter **footprint** — reads, writes and region slices —
 from the body's AST:
 
@@ -22,8 +22,8 @@ from the body's AST:
 The footprint is then diffed against the declared clauses:
 
 * **SAN-S001** (error) — undeclared write: the body writes a parameter
-  not declared ``output``/``inout`` (beyond what SAN-L002 catches:
-  through kernel calls and aliases, or on a parameter in no clause),
+  not declared ``output``/``inout`` (a direct store or in-place update,
+  or through kernel calls and aliases; rebinding the name is no write),
 * **SAN-S002** (warning) — dead clause: a declared dependence the body
   can never exercise,
 * **SAN-S003** (info) — ``inout`` downgradable to ``input``/``output``,
@@ -106,9 +106,6 @@ class ParamEffect:
     @property
     def is_written(self) -> bool:
         return bool(self.writes)
-
-    def write_kinds(self) -> set[str]:
-        return {kind for _, kind in self.writes.values()}
 
     @property
     def has_direct_read(self) -> bool:
@@ -525,16 +522,8 @@ def _is_empty_body(fn: "ast.FunctionDef | ast.Lambda") -> bool:
     return True
 
 
-def check_decl_effects(
-    analyzer: EffectAnalyzer, decl: TaskDecl, *, lint_alongside: bool = True
-) -> list[Diagnostic]:
-    """Diff one declaration's inferred footprints against its clauses.
-
-    With ``lint_alongside`` (the default for source-tree passes) direct
-    stores into an inputs-declared parameter are left to the classic
-    directive lint (SAN-L002) to avoid double-reporting; the live-mode
-    pre-flight passes ``False`` because no lint runs next to it there.
-    """
+def check_decl_effects(analyzer: EffectAnalyzer, decl: TaskDecl) -> list[Diagnostic]:
+    """Diff one declaration's inferred footprints against its clauses."""
     if decl.func_node is None or decl.params is None or not decl.literal:
         return []
     empty = _is_empty_body(decl.func_node)
@@ -548,26 +537,24 @@ def check_decl_effects(
 
         # -- SAN-S001: undeclared write --------------------------------
         if eff.is_written and not writable:
-            direct_only = eff.write_kinds() <= {"store", "aug"}
-            if not (lint_alongside and p in ins and direct_only):
-                line, kind = min(eff.writes.values())
-                via = {
-                    "call": "through a kernel call",
-                    "alias": "through an alias",
-                    "store": "by a store",
-                    "aug": "by in-place arithmetic",
-                    "del": "by a deletion",
-                }[kind]
-                out.append(Diagnostic(
-                    code="SAN-S001",
-                    message=(
-                        f"task {decl.version_name!r}: parameter {p!r} is "
-                        f"written {via} (body line {line}) but is not "
-                        "declared output/inout (inferred footprint: "
-                        f"{eff.render()})"
-                    ),
-                    file=decl.file, line=decl.line,
-                ))
+            line, kind = min(eff.writes.values())
+            via = {
+                "call": "through a kernel call",
+                "alias": "through an alias",
+                "store": "by a store",
+                "aug": "by in-place arithmetic",
+                "del": "by a deletion",
+            }[kind]
+            out.append(Diagnostic(
+                code="SAN-S001",
+                message=(
+                    f"task {decl.version_name!r}: parameter {p!r} is "
+                    f"written {via} (body line {line}) but is not "
+                    "declared output/inout (inferred footprint: "
+                    f"{eff.render()})"
+                ),
+                file=decl.file, line=decl.line,
+            ))
 
         if empty:
             continue
@@ -817,6 +804,6 @@ def check_definitions(definitions: "dict | object") -> list[Diagnostic]:
             func_node=node,
         )
         decls.append(decl)
-        out.extend(check_decl_effects(analyzer, decl, lint_alongside=False))
+        out.extend(check_decl_effects(analyzer, decl))
     out.extend(check_implements_effects(analyzer, decls, {}))
     return out

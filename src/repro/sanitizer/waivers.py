@@ -2,16 +2,15 @@
 
 A finding is waived by putting ``# san-ignore: <CODE>[, <CODE>...]`` (or
 ``# san-ignore: all``) on the reported line.  This module is the single
-implementation of waiver parsing, application, and — new with the static
-pass — *unused-waiver* detection: a waiver that suppresses nothing is
-itself reported (SAN-L005), so dead waivers cannot silently mask future
-findings on the same line.
+implementation of waiver parsing, application and *unused-waiver*
+detection: a waiver that suppresses nothing is itself reported
+(SAN-L005), so dead waivers cannot silently mask future findings on the
+same line.
 
-Unused-waiver accounting is scoped to the analyses that actually ran:
-a lint-only pass (``lint_paths``) only judges waivers whose code list is
-entirely SAN-L, while the full static driver (``check_static``) judges
-every waiver it saw.  A waiver naming codes outside the running analysis
-set is never reported as unused by that pass.
+The static pass (``check_static``) runs every static analysis before it
+judges the waivers, so each waiver is judged once against all findings.
+A waiver naming a code no analysis emits any more (the retired
+SAN-L002) suppresses nothing and is reported.
 """
 
 from __future__ import annotations
@@ -108,26 +107,12 @@ def apply_waivers(
     return kept
 
 
-def unused_waiver_diagnostics(
-    waivers: Sequence[Waiver], *, code_prefixes: "tuple[str, ...] | None" = None
-) -> list[Diagnostic]:
-    """SAN-L005 findings for waivers that suppressed nothing.
-
-    ``code_prefixes`` restricts judgement to waivers whose code list
-    falls entirely inside the analyses that ran (e.g. ``("SAN-L",)`` for
-    a lint-only pass); ``None`` judges every waiver.  ``all`` waivers
-    are only judged when no restriction is active (a lint-only pass
-    cannot know whether an ``all`` waiver shields a SAN-S finding).
-    """
+def unused_waiver_diagnostics(waivers: Sequence[Waiver]) -> list[Diagnostic]:
+    """SAN-L005 findings for waivers that suppressed nothing."""
     out: list[Diagnostic] = []
     for w in waivers:
         if w.used:
             continue
-        if code_prefixes is not None:
-            if not w.codes:  # "all": undecidable under a partial pass
-                continue
-            if not all(c.startswith(code_prefixes) for c in w.codes):
-                continue
         what = ", ".join(sorted(w.codes)) if w.codes else "all"
         out.append(Diagnostic(
             code="SAN-L005",

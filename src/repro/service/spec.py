@@ -60,7 +60,7 @@ _CONFIG_FIELDS = {
     "max_in_flight_tasks",
     "flush_on_wait",
     "execute_bodies",
-    "check_aliasing",
+    "alias_policy",
     "max_events",
     "progress_horizon",
     "progress_stall_limit",

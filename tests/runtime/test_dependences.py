@@ -173,7 +173,7 @@ class TestVerifySchedule:
 
 class TestAliasing:
     def test_overlapping_distinct_regions_rejected(self):
-        g = DependenceGraph(check_aliasing=True)
+        g = DependenceGraph(alias_policy="reject")
         a = DataRegion("a", 10, base=100, length=10)
         b = DataRegion("b", 10, base=105, length=10)
         g.add_task(inst(wr(a)))
@@ -181,14 +181,14 @@ class TestAliasing:
             g.add_task(inst(wr(b)))
 
     def test_adjacent_regions_ok(self):
-        g = DependenceGraph(check_aliasing=True)
+        g = DependenceGraph(alias_policy="reject")
         a = DataRegion("a", 10, base=100, length=10)
         b = DataRegion("b", 10, base=110, length=10)
         g.add_task(inst(wr(a)))
         g.add_task(inst(wr(b)))
 
     def test_same_region_reuse_ok(self):
-        g = DependenceGraph(check_aliasing=True)
+        g = DependenceGraph(alias_policy="reject")
         a = DataRegion("a", 10, base=100, length=10)
         g.add_task(inst(wr(a)))
         g.add_task(inst(rd(a)))

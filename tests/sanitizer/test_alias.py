@@ -61,14 +61,6 @@ class TestReportPolicy:
 
 
 class TestRejectPolicyCompat:
-    def test_check_aliasing_true_still_raises_value_error(self):
-        whole, half = overlapping_regions()
-        d = make_def()
-        g = DependenceGraph(check_aliasing=True)
-        g.add_task(TaskInstance(d, [DataAccess(whole, AccessKind.INOUT)]))
-        with pytest.raises(ValueError, match="overlaps"):
-            g.add_task(TaskInstance(d, [DataAccess(half, AccessKind.INPUT)]))
-
     def test_reject_message_names_the_tasks(self):
         whole, half = overlapping_regions()
         d = make_def()

@@ -1,5 +1,5 @@
-"""Tests for the ``--static`` / ``--protocol`` CLI modes, exit codes,
-``--json`` output and baseline handling."""
+"""Tests for the static-pass CLI: ``--protocol``, exit codes, ``--json``
+output and baseline handling."""
 
 import json
 import pathlib
@@ -53,44 +53,54 @@ class TestExitCodes:
     def test_clean_tree_is_zero(self, tmp_path):
         p = tmp_path / "clean.py"
         p.write_text(CLEAN_SNIPPET)
-        proc = run_cli("--static", str(p))
+        proc = run_cli(str(p))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
 
     def test_errors_are_one(self, tmp_path):
         p = tmp_path / "bad.py"
         p.write_text(ERROR_SNIPPET)
-        proc = run_cli("--static", str(p))
+        proc = run_cli(str(p))
         assert proc.returncode == 1
         assert "SAN-S001" in proc.stdout
 
     def test_warnings_alone_are_zero(self, tmp_path):
         p = tmp_path / "warn.py"
         p.write_text(WARNING_SNIPPET)
-        proc = run_cli("--static", str(p))
+        proc = run_cli(str(p))
         assert proc.returncode == 0
         assert "SAN-S002" in proc.stdout
 
     def test_strict_promotes_warnings(self, tmp_path):
         p = tmp_path / "warn.py"
         p.write_text(WARNING_SNIPPET)
-        proc = run_cli("--static", "--strict", str(p))
+        proc = run_cli("--strict", str(p))
         assert proc.returncode == 1
 
     def test_no_paths_is_usage_error(self):
-        proc = run_cli("--static")
+        proc = run_cli()
         assert proc.returncode == 2
 
     def test_shipped_tree_is_clean_under_static(self):
-        proc = run_cli("--static", "src", "examples")
+        proc = run_cli("--strict", "src", "examples")
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "sanitizer: clean" in proc.stdout
+
+    def test_small_without_protocol_is_usage_error(self, tmp_path):
+        # --small only scopes the model check; alone it would silently
+        # run none
+        p = tmp_path / "clean.py"
+        p.write_text(CLEAN_SNIPPET)
+        proc = run_cli("--small", str(p))
+        assert proc.returncode == 2
+        assert "--protocol" in proc.stderr
 
 
 class TestJsonOutput:
     def test_shape_and_counts(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text(ERROR_SNIPPET + WARNING_SNIPPET)
-        proc = run_cli("--static", "--json", str(bad))
+        proc = run_cli("--json", str(bad))
         assert proc.returncode == 1
         doc = json.loads(proc.stdout)
         assert set(doc) == {"findings", "errors", "warnings"}
@@ -104,7 +114,7 @@ class TestJsonOutput:
     def test_clean_json_is_empty(self, tmp_path):
         p = tmp_path / "clean.py"
         p.write_text(CLEAN_SNIPPET)
-        proc = run_cli("--static", "--json", str(p))
+        proc = run_cli("--json", str(p))
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc == {"findings": [], "errors": 0, "warnings": 0}
@@ -116,25 +126,25 @@ class TestBaseline:
         bad.write_text(ERROR_SNIPPET)
         base = tmp_path / "baseline.json"
 
-        assert run_cli("--static", str(bad)).returncode == 1
-        proc = run_cli("--static", "--write-baseline", str(base), str(bad))
+        assert run_cli(str(bad)).returncode == 1
+        proc = run_cli("--write-baseline", str(base), str(bad))
         assert proc.returncode == 0
         assert json.loads(base.read_text())["version"] == 1
 
-        proc = run_cli("--static", "--baseline", str(base), str(bad))
+        proc = run_cli("--baseline", str(base), str(bad))
         assert proc.returncode == 0, proc.stdout
 
     def test_stale_baseline_entry_is_reported(self, tmp_path):
         bad = tmp_path / "code.py"
         bad.write_text(ERROR_SNIPPET)
         base = tmp_path / "baseline.json"
-        run_cli("--static", "--write-baseline", str(base), str(bad))
+        run_cli("--write-baseline", str(base), str(bad))
 
         bad.write_text(CLEAN_SNIPPET)  # the finding is fixed
-        proc = run_cli("--static", "--baseline", str(base), str(bad))
+        proc = run_cli("--baseline", str(base), str(bad))
         assert proc.returncode == 0  # stale entries warn, not fail
         assert "SAN-L005" in proc.stdout
-        proc = run_cli("--static", "--strict", "--baseline", str(base),
+        proc = run_cli("--strict", "--baseline", str(base),
                        str(bad))
         assert proc.returncode == 1
 
@@ -143,7 +153,7 @@ class TestBaseline:
         p.write_text(CLEAN_SNIPPET)
         base = tmp_path / "baseline.json"
         base.write_text("{}")
-        proc = run_cli("--static", "--baseline", str(base), str(p))
+        proc = run_cli("--baseline", str(base), str(p))
         assert proc.returncode == 2
 
 
@@ -156,7 +166,7 @@ class TestWaivers:
             "def f(a, b):",
             "def f(a, b):  # san-ignore: SAN-S001",
         ))
-        proc = run_cli("--static", str(p))
+        proc = run_cli(str(p))
         assert proc.returncode == 0, proc.stdout
 
         stale = tmp_path / "stale.py"
@@ -164,7 +174,7 @@ class TestWaivers:
             "    c += a",
             "    c += a  # san-ignore: SAN-S001",
         ))
-        proc = run_cli("--static", str(stale))
+        proc = run_cli(str(stale))
         assert proc.returncode == 0
         assert "SAN-L005" in proc.stdout
 
@@ -183,3 +193,6 @@ class TestListCodes:
         for code in ("SAN-L005", "SAN-S001", "SAN-S005", "SAN-S010",
                      "SAN-S013", "SAN-P001", "SAN-P004"):
             assert code in proc.stdout
+        l002 = next(ln for ln in proc.stdout.splitlines()
+                    if ln.startswith("SAN-L002"))
+        assert "retired" in l002 and "SAN-S001" in l002

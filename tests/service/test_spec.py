@@ -96,3 +96,13 @@ def test_build_config():
     config = spec.build_config()
     assert config is not None and config.prefetch is False
     assert SubmissionSpec.from_dict(spec_dict()).build_config() is None
+
+
+def test_alias_policy_is_the_wire_aliasing_field():
+    spec = SubmissionSpec.from_dict(spec_dict(config={"alias_policy": "report"}))
+    assert spec.build_config().alias_policy == "report"
+    with pytest.raises(SpecError, match="unknown config field"):
+        SubmissionSpec.from_dict(spec_dict(config={"check_aliasing": True}))
+    bad = SubmissionSpec.from_dict(spec_dict(config={"alias_policy": "maybe"}))
+    with pytest.raises(SpecError, match="alias_policy"):
+        bad.build_config()
