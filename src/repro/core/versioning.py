@@ -164,11 +164,21 @@ class VersioningScheduler(Scheduler):
         self._runnable: dict = {}
         # (task name, size-group key) -> that group of self.table
         self._groups: dict[tuple, SizeGroupProfile] = {}
+        # pooled task uid -> its (task name, size-group key) and group,
+        # resolved once in task_ready for every pump scan; popped when
+        # the task leaves the pool (placement or steal)
+        self._pooled: dict[int, tuple[tuple, SizeGroupProfile]] = {}
         # worker name -> estimated busy time (sum of estimates of queued
         # + running tasks, §IV-B "OmpSs worker estimated busy time")
         self._busy_est: dict[str, float] = {}
-        # task uid -> the estimate added at dispatch (to subtract at finish)
-        self._est_by_uid: dict[int, float] = {}
+        # task uid -> the estimate added at dispatch (to subtract at
+        # finish) and the task's group (to record into at finish)
+        self._est_by_uid: dict[int, tuple[float, SizeGroupProfile]] = {}
+        # the earliest-executor scan adds _placement_penalty only for a
+        # subclass that prices placements (it is 0.0 here)
+        self._penalized = (
+            type(self)._placement_penalty is not VersioningScheduler._placement_penalty
+        )
         # diagnostics for tests/benches
         self.learning_dispatches = 0
         self.reliable_dispatches = 0
@@ -252,6 +262,11 @@ class VersioningScheduler(Scheduler):
     # Runtime hooks
     # ------------------------------------------------------------------
     def task_ready(self, t: TaskInstance) -> None:
+        gkey = (t.name, self.table.grouping.key(t.data_bytes))
+        group = self._groups.get(gkey)
+        if group is None:
+            group = self._groups[gkey] = self.table.group(t.name, t.data_bytes)
+        self._pooled[t.uid] = (gkey, group)
         self._pool.append(t)
         if t.priority:
             self._prio_in_pool += 1
@@ -272,16 +287,20 @@ class VersioningScheduler(Scheduler):
             t = self._pool[i]
             if accept(t):
                 del self._pool[i]
+                del self._pooled[t.uid]
                 if t.priority:
                     self._prio_in_pool -= 1
                 return t
         return None
 
     def task_finished(self, t: TaskInstance, worker: "Worker", measured: float) -> None:
-        est = self._est_by_uid.pop(t.uid, 0.0)
+        placed = self._est_by_uid.pop(t.uid, None)
+        if placed is None:
+            est, group = 0.0, self.table.group(t.name, t.data_bytes)
+        else:
+            est, group = placed
         self._busy_est[worker.name] = max(0.0, self._busy_est[worker.name] - est)
         assert t.chosen_version is not None
-        group = self.table.group(t.name, t.data_bytes)
         group.record(t.chosen_version.name, measured)
         self._pump()
 
@@ -299,7 +318,7 @@ class VersioningScheduler(Scheduler):
         est = group.mean_time(version.name)
         est_value = est if est is not None else 0.0
         self._busy_est[worker.name] += est_value
-        self._est_by_uid[t.uid] = est_value
+        self._est_by_uid[t.uid] = (est_value, group)
         group.note_assigned(version.name)
 
     def task_requeued(self, t: TaskInstance, worker: "Worker") -> None:
@@ -307,11 +326,13 @@ class VersioningScheduler(Scheduler):
         recovery: its busy-time estimate leaves the worker's account and
         its pending learning assignment is released — no duration is
         recorded, so the profile tables stay valid."""
-        est = self._est_by_uid.pop(t.uid, None)
-        if est is not None:
+        placed = self._est_by_uid.pop(t.uid, None)
+        if placed is not None:
+            est, group = placed
             self._busy_est[worker.name] = max(0.0, self._busy_est[worker.name] - est)
         if t.chosen_version is not None:
-            group = self.table.group(t.name, t.data_bytes)
+            if placed is None:
+                group = self.table.group(t.name, t.data_bytes)
             group.note_unassigned(t.chosen_version.name)
         self._stale = True
 
@@ -346,10 +367,9 @@ class VersioningScheduler(Scheduler):
         self._stale = False
         try:
             bound = self.reliable_queue_bound
-            key = self.table.grouping.key
+            pooled = self._pooled
             left = self._left_learning
             runnable = self._runnable
-            groups = self._groups
             while self._pool:
                 placed = False
                 # groups found unplaceable in this scan: skip their other
@@ -370,7 +390,7 @@ class VersioningScheduler(Scheduler):
                 else:
                     scan = enumerate(self._pool)
                 for i, t in scan:
-                    gkey = (t.name, key(t.data_bytes))
+                    gkey, group = pooled[t.uid]
                     if gkey in blocked:
                         continue
                     # before the gate: a task no live worker can run
@@ -384,21 +404,19 @@ class VersioningScheduler(Scheduler):
                         if not room:
                             blocked.add(gkey)
                             continue
-                    group = groups.get(gkey)
-                    if group is None:
-                        group = groups[gkey] = self.table.group(t.name, t.data_bytes)
                     placement = self._choose(t, versions, group, gkey)
                     if placement is None:
                         blocked.add(gkey)
                         continue
                     version, worker, learning = placement
                     del self._pool[i]
+                    del pooled[t.uid]
                     if t.priority:
                         self._prio_in_pool -= 1
                     est = group.mean_time(version.name)
                     est_value = est if est is not None else 0.0
                     self._busy_est[worker.name] += est_value
-                    self._est_by_uid[t.uid] = est_value
+                    self._est_by_uid[t.uid] = (est_value, group)
                     group.note_assigned(version.name)
                     counters = self.group_dispatches.setdefault(
                         gkey, {"learning": 0, "reliable": 0}
@@ -573,6 +591,7 @@ class VersioningScheduler(Scheduler):
         now = self.rt.engine.now
         busy = self._busy_est
         fault_aware = self.fault_aware
+        penalized = self._penalized
         best: Optional[tuple[float, str, str]] = None
         best_pair: Optional[tuple[TaskVersion, "Worker"]] = None
         for v, mean in zip(versions, known):
@@ -597,7 +616,8 @@ class VersioningScheduler(Scheduler):
                     rate = self.worker_fault_rate(w)
                     if rate > 0.0:
                         finish /= 1.0 - min(rate, self.fault_rate_cap)
-                finish += self._placement_penalty(t, v, w)
+                if penalized:
+                    finish += self._placement_penalty(t, v, w)
                 key = (finish, w.name, vname)
                 if best is None or key < best:
                     best = key

@@ -50,17 +50,38 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import SimEngine
 
 
-@dataclass(frozen=True)
 class TransferRequest:
-    """A region copy that must be performed: ``src`` space -> ``dst`` space."""
+    """A region copy that must be performed: ``src`` space -> ``dst`` space.
 
-    region: DataRegion
-    src: str
-    dst: str
+    A value: compared and hashed by its fields, never mutated after
+    construction.  Slotted rather than a frozen dataclass, whose
+    ``__init__`` pays one ``object.__setattr__`` per field on every
+    staged copy.
+    """
 
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
+    __slots__ = ("region", "src", "dst")
+
+    def __init__(self, region: DataRegion, src: str, dst: str) -> None:
+        if src == dst:
             raise ValueError("transfer with identical endpoints")
+        self.region = region
+        self.src = src
+        self.dst = dst
+
+    def _fields(self) -> tuple[DataRegion, str, str]:
+        return (self.region, self.src, self.dst)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(region={self.region!r}, "
+                f"src={self.src!r}, dst={self.dst!r})")
 
 
 @dataclass

@@ -33,6 +33,11 @@ class TxCategory(Enum):
     OUTPUT = "output_tx"  # device -> host
     DEVICE = "device_tx"  # device -> device
 
+    # members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ is a Python-level call, and record() hashes a member
+    # twice per transfer hop
+    __hash__ = object.__hash__
+
     @staticmethod
     def classify(src: str, dst: str, host: str = HOST_SPACE) -> "TxCategory":
         if src == host and dst != host:

@@ -36,14 +36,37 @@ class DepKind(Enum):
     WAW = "waw"  # write after write (output dependence)
 
 
-@dataclass(frozen=True)
 class DepEdge:
-    """A dependence edge: ``src`` must finish before ``dst`` may start."""
+    """A dependence edge: ``src`` must finish before ``dst`` may start.
 
-    src: int  # uid of the earlier task
-    dst: int  # uid of the later task
-    kind: DepKind
-    region: DataRegion
+    A value: compared and hashed by its fields, never mutated after
+    construction.  Slotted rather than a frozen dataclass, whose
+    ``__init__`` pays one ``object.__setattr__`` per field on every
+    matched clause.
+    """
+
+    __slots__ = ("src", "dst", "kind", "region")
+
+    def __init__(self, src: int, dst: int, kind: DepKind, region: DataRegion) -> None:
+        self.src = src  # uid of the earlier task
+        self.dst = dst  # uid of the later task
+        self.kind = kind
+        self.region = region
+
+    def _fields(self) -> tuple[int, int, DepKind, DataRegion]:
+        return (self.src, self.dst, self.kind, self.region)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(src={self.src!r}, dst={self.dst!r}, "
+                f"kind={self.kind!r}, region={self.region!r})")
 
 
 @dataclass(slots=True)
@@ -54,9 +77,6 @@ class _RegionHistory:
 
 #: what the aliasing check does on an overlap (see the module docstring)
 ALIAS_POLICIES = ("off", "report", "reject")
-
-#: edge-strength ranking for _note_dep (RAW > WAW > WAR)
-_DEP_ORDER = {DepKind.RAW: 0, DepKind.WAW: 1, DepKind.WAR: 2}
 
 
 class DependenceGraph:
@@ -150,8 +170,13 @@ class DependenceGraph:
     ) -> None:
         # Keep one edge per predecessor; prefer the "strongest" kind for
         # reporting (RAW > WAW > WAR) but correctness only needs one.
+        # ``kind`` outranks a different ``prev.kind`` exactly when it is
+        # RAW or the other is WAR (identity tests: Enum.__hash__ is a
+        # Python-level call, so no Enum-keyed rank table)
         prev = preds.get(src.uid)
-        if prev is None or _DEP_ORDER[kind] < _DEP_ORDER[prev.kind]:
+        if prev is None or (
+            kind is not prev.kind and (kind is DepKind.RAW or prev.kind is DepKind.WAR)
+        ):
             preds[src.uid] = DepEdge(src.uid, dst.uid, kind, region)
 
     def _check_alias(self, region: DataRegion, t: TaskInstance) -> None:

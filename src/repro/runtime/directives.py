@@ -39,7 +39,7 @@ import inspect
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.runtime import context
-from repro.runtime.dataregion import AccessKind, DataAccess, region_of
+from repro.runtime.dataregion import AccessKind, DataAccess, DataRegion, region_of
 from repro.runtime.task import TaskDefinition, TaskInstance, TaskVersion
 from repro.sim.devices import DeviceKind
 
@@ -118,6 +118,16 @@ class TaskFunction:
         self._work = work
         self._priority = priority
         self._registry = _REGISTRY if registry is None else registry
+        # clause plan: (argument position, kind) per clause entry, in
+        # the order _accesses_of builds them, or None when a call must
+        # bind (callable clause, a name that is no parameter, a
+        # signature without the fast binder); an exact-arity positional
+        # call then builds its accesses straight from ``args``
+        clauses = self._literal_clauses(inputs, outputs, inouts)
+        self._plan = self._compile_plan(clauses)
+        self._arity = len(params)
+        # whether work/priority need the call's arguments mapping
+        self._evaluates_args = work is not None or callable(priority)
 
         kinds = self._parse_device(device)
         main_name, is_main = self._resolve_implements(implements)
@@ -130,7 +140,7 @@ class TaskFunction:
             fn=fn,
             is_main=is_main,
             copy_deps=copy_deps,
-            clauses=self._literal_clauses(inputs, outputs, inouts),
+            clauses=clauses,
         )
         definition = self._registry.get(main_name)
         if definition is None:
@@ -165,6 +175,24 @@ class TaskFunction:
             else:
                 out[kind] = tuple(str(p) for p in spec)
         return out
+
+    def _compile_plan(
+        self, clauses: "Optional[dict[str, tuple[str, ...]]]"
+    ) -> "Optional[tuple[tuple[int, AccessKind], ...]]":
+        names = self._fast_params
+        if clauses is None or names is None:
+            return None
+        plan: list[tuple[int, AccessKind]] = []
+        for clause, kind in (
+            ("inputs", AccessKind.INPUT),
+            ("outputs", AccessKind.OUTPUT),
+            ("inouts", AccessKind.INOUT),
+        ):
+            for pname in clauses[clause]:
+                if pname not in names:
+                    return None  # the bind path raises the TypeError
+                plan.append((names.index(pname), kind))
+        return tuple(plan)
 
     @staticmethod
     def _parse_device(
@@ -249,6 +277,20 @@ class TaskFunction:
         self._check_clause_consistency(accesses)
         return accesses
 
+    def _planned_accesses(
+        self, plan: "tuple[tuple[int, AccessKind], ...]", args: tuple
+    ) -> list[DataAccess]:
+        """:meth:`_accesses_of` for an exact-arity positional call, from
+        the clause plan."""
+        accesses = []
+        for i, kind in plan:
+            obj = args[i]
+            accesses.append(
+                DataAccess(obj if type(obj) is DataRegion else region_of(obj), kind)
+            )
+        self._check_clause_consistency(accesses)
+        return accesses
+
     @staticmethod
     def _check_clause_consistency(accesses: list[DataAccess]) -> None:
         seen: dict = {}
@@ -287,16 +329,27 @@ class TaskFunction:
         rt = context.current_runtime()
         if rt is None:
             return self.fn(*args, **kwargs)
-        # bind the call signature once and share it across the clause,
-        # work and priority evaluations (binding is submit-path-hot)
-        bound = self._bind(args, kwargs)
+        plan = self._plan
+        if plan is not None and len(args) == self._arity and not kwargs:
+            accesses = self._planned_accesses(plan, args)
+            arguments = (
+                dict(zip(self._fast_params or (), args)) if self._evaluates_args else {}
+            )
+        else:
+            # bind the call signature once and share it across the
+            # clause, work and priority evaluations
+            bound = self._bind(args, kwargs)
+            accesses = self._accesses_of(bound)
+            arguments = bound.arguments
+        work = self._work
+        priority = self._priority
         instance = TaskInstance(
             self.definition,
-            self._accesses_of(bound),
-            params=self._work_params_of(bound),
+            accesses,
+            params=work(**arguments) if work is not None else None,
             args=args,
             kwargs=kwargs,
-            priority=self._priority_of_bound(bound),
+            priority=priority(**arguments) if callable(priority) else priority,
         )
         rt.submit(instance)
         return instance

@@ -345,7 +345,8 @@ class OmpSsRuntime:
         try:
             context.pop_runtime(self)
             if exc_type is None:
-                self.wait_all()
+                # no result here: the caller asks rt.result() for one
+                self._close()
         finally:
             self._gc_pause.__exit__()
 
@@ -433,9 +434,12 @@ class OmpSsRuntime:
 
     def wait_all(self) -> "RunResult":
         """Final barrier: taskwait + flush, then freeze the run."""
+        self._close()
+        return self.result()
+
+    def _close(self) -> None:
         self.taskwait()
         self._closed = True
-        return self.result()
 
     def result(self) -> RunResult:
         makespan = self.engine.now
@@ -480,7 +484,12 @@ class OmpSsRuntime:
             raise RuntimeError(
                 f"dispatch of {t.label!r} to failed worker {worker.name!r}"
             )
-        if version not in t.definition.versions:
+        # membership by identity: versions are registered objects, and
+        # ``in`` would compare frozen TaskVersions field by field
+        for v in t.definition._versions:
+            if v is version:
+                break
+        else:
             raise ValueError(
                 f"version {version.name!r} does not belong to task {t.name!r}"
             )

@@ -156,7 +156,11 @@ class ServiceRouter:
 
 
 def _config_to_dict(config: Optional[Any]) -> Optional[dict]:
-    """A RuntimeConfig as spec fields, or None if not expressible."""
+    """A RuntimeConfig as spec fields, or None if not expressible.
+
+    Only the fields that differ from the defaults are sent, so a default
+    ``RuntimeConfig()`` and no config share one cache key (``"{}"``).
+    """
     if config is None:
         return None
     from repro.runtime.runtime import RuntimeConfig
@@ -173,7 +177,7 @@ def _config_to_dict(config: Optional[Any]) -> Optional[dict]:
         json.dumps(diff)
     except (TypeError, ValueError):
         return None
-    return {f: getattr(config, f) for f in sorted(_CONFIG_FIELDS)}
+    return diff
 
 
 # ----------------------------------------------------------------------

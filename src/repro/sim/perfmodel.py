@@ -22,6 +22,12 @@ import numpy as np
 
 Params = Mapping[str, float]
 
+#: Noise normals a :class:`PerfModel` draws per generator call.  NumPy's
+#: ``Generator.standard_normal(n)`` yields the same values as ``n``
+#: scalar draws, so blocks change no duration; a scalar draw per task
+#: was a NumPy call per execution.
+NOISE_BLOCK = 32
+
 
 class KernelCostModel:
     """Base class: maps a work description to a duration in seconds."""
@@ -174,7 +180,8 @@ class PerfModel:
     noise term drawn from a (clipped) normal distribution.  Real task
     durations vary run to run; the versioning scheduler's running-mean
     estimator exists precisely to smooth this out, so the simulation
-    reproduces it — deterministically, from a seeded generator.
+    reproduces it — deterministically, from a seeded generator, whose
+    normals are drawn :data:`NOISE_BLOCK` at a time.
     """
 
     def __init__(
@@ -189,6 +196,9 @@ class PerfModel:
         self._kernels: dict[str, KernelCostModel] = dict(kernels or {})
         self.noise_cv = noise_cv
         self._rng = np.random.default_rng(seed)
+        # normals drawn ahead from _rng, consumed from _next on
+        self._normals: list[float] = []
+        self._next = 0
 
     def register(self, kernel: str, model: KernelCostModel) -> None:
         """Register (or replace) the cost model for ``kernel``."""
@@ -222,8 +232,14 @@ class PerfModel:
         base = model(data_bytes, params)
         if self.noise_cv == 0.0:
             return base
+        i = self._next
+        normals = self._normals
+        if i == len(normals):
+            normals = self._normals = self._rng.standard_normal(NOISE_BLOCK).tolist()
+            i = 0
+        self._next = i + 1
         # Clip at 3 sigma and floor at 10% of nominal so durations stay
         # positive and the mean stays close to the model's value.
-        factor = 1.0 + self.noise_cv * float(self._rng.standard_normal())
+        factor = 1.0 + self.noise_cv * normals[i]
         factor = min(max(factor, 1.0 - 3 * self.noise_cv, 0.1), 1.0 + 3 * self.noise_cv)
         return base * factor

@@ -161,8 +161,23 @@ class TestFlush:
 
 class TestTransferRequest:
     def test_self_transfer_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="identical endpoints"):
             TransferRequest(reg(), "host", "host")
+
+    def test_equality_and_hash_by_fields(self):
+        a = TransferRequest(reg("t"), "host", "gpu0")
+        b = TransferRequest(reg("t"), "host", "gpu0")
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((reg("t"), "host", "gpu0"))
+        assert len({a, b}) == 1
+        assert a != TransferRequest(reg("t"), "gpu0", "host")
+        assert a != TransferRequest(reg("u"), "host", "gpu0")
+        assert a != (reg("t"), "host", "gpu0")
+
+    def test_repr(self):
+        assert repr(TransferRequest(reg("t", 4), "host", "gpu0")) == (
+            "TransferRequest(region=DataRegion('t', 4B), src='host', dst='gpu0')"
+        )
 
 
 class TestInvariantsUnderRandomOps:

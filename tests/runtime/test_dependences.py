@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.dataregion import AccessKind, DataAccess, DataRegion
-from repro.runtime.dependences import DependenceGraph, DepKind
+from repro.runtime.dependences import DepEdge, DependenceGraph, DepKind
 from repro.runtime.task import TaskDefinition, TaskInstance, TaskVersion
 from repro.sim.devices import DeviceKind
 
@@ -110,6 +110,41 @@ class TestBasicDependences:
         g.add_task(t)
         with pytest.raises(ValueError, match="twice"):
             g.add_task(t)
+
+
+class TestDepEdgeValue:
+    def test_equality_and_hash_by_fields(self):
+        r = DataRegion("e", 8)
+        a = DepEdge(1, 2, DepKind.RAW, r)
+        b = DepEdge(1, 2, DepKind.RAW, DataRegion("e", 8))
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((1, 2, DepKind.RAW, r))
+        assert len({a, b}) == 1
+        assert a != DepEdge(1, 2, DepKind.WAR, r)
+        assert a != DepEdge(1, 3, DepKind.RAW, r)
+        assert a != (1, 2, DepKind.RAW, r)
+
+    def test_repr(self):
+        e = DepEdge(1, 2, DepKind.WAW, DataRegion("e", 8))
+        assert repr(e) == (
+            "DepEdge(src=1, dst=2, kind=<DepKind.WAW: 'waw'>, "
+            "region=DataRegion('e', 8B))"
+        )
+
+    def test_strongest_kind_kept_per_predecessor(self):
+        # a task reading and writing two regions last written/read by
+        # one predecessor keeps one edge of the strongest kind
+        g = DependenceGraph()
+        x, y = DataRegion("sx", 8), DataRegion("sy", 8)
+        t1 = inst(rd(x), wr(y))
+        t2 = inst(wr(x), rw(y))  # WAR on x, then RAW (and WAW) on y
+        g.add_task(t1)
+        g.add_task(t2)
+        (edge,) = g.in_edges(t2.uid)
+        assert edge.kind is DepKind.RAW and edge.region == y
+        t3 = inst(wr(x))  # WAW on x only
+        g.add_task(t3)
+        assert [e.kind for e in g.in_edges(t3.uid)] == [DepKind.WAW]
 
 
 class TestRetirement:

@@ -124,3 +124,30 @@ def test_routed_repeat_hits_cache(harness):
         )
     assert router.routed == 2
     assert router.cache_hits >= 1
+
+
+def test_default_config_routes_to_the_no_config_cache_key():
+    """A routed default RuntimeConfig() and no config are one experiment:
+    only non-default fields go on the wire, so both keys read "{}"."""
+    from repro.runtime.runtime import RuntimeConfig
+    from repro.service.routing import ServiceRouter
+
+    router = ServiceRouter(client=None)
+
+    def spec(config):
+        return router._spec_for(
+            MatmulApp(n_tiles=2, variant="hyb"),
+            minotauro_node(2, 1, noise_cv=0.02, seed=9),
+            "versioning",
+            scheduler_options=None,
+            config=config,
+            fault_plan=None,
+            recovery=None,
+        )
+
+    default, absent = spec(RuntimeConfig()), spec(None)
+    assert default is not None and absent is not None
+    assert default.config_key() == absent.config_key() == "{}"
+    ablated = spec(RuntimeConfig(prefetch_window=2))
+    assert ablated is not None
+    assert ablated.config_key() == '{"prefetch_window":2}'

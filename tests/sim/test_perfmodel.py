@@ -10,6 +10,7 @@ from repro.sim.perfmodel import (
     FixedCostModel,
     FlopsCostModel,
     GemmCostModel,
+    NOISE_BLOCK,
     PerfModel,
     ScaledCostModel,
     TableCostModel,
@@ -149,3 +150,48 @@ class TestPerfModel:
     def test_affine_monotone_in_bytes(self, nbytes):
         m = AffineBytesCostModel(1e-6, 5e9)
         assert m(nbytes, {}) <= m(nbytes + 1024, {})
+
+
+class TestNoiseBlocks:
+    """Noise normals are drawn NOISE_BLOCK at a time; the durations must
+    equal those of one scalar draw per execution."""
+
+    @staticmethod
+    def _scalar_durations(seed: int, cv: float, base: float, n: int) -> list:
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(n):
+            factor = 1.0 + cv * float(rng.standard_normal())
+            factor = min(max(factor, 1.0 - 3 * cv, 0.1), 1.0 + 3 * cv)
+            out.append(base * factor)
+        return out
+
+    def test_block_draws_match_scalar_draws_across_blocks(self):
+        n = 2 * NOISE_BLOCK + 5
+        pm = PerfModel({"k": FixedCostModel(0.25)}, noise_cv=0.2, seed=7)
+        got = [pm.duration("k", 0, {}) for _ in range(n)]
+        assert got == self._scalar_durations(7, 0.2, 0.25, n)
+
+    def test_two_devices_with_different_seeds_interleaved(self):
+        from repro.sim.devices import GPUDevice, SMPDevice
+
+        n = NOISE_BLOCK + 3
+        smp = SMPDevice("smp0", PerfModel(noise_cv=0.1, seed=11))
+        gpu = GPUDevice("gpu0", PerfModel(noise_cv=0.3, seed=12))
+        smp.register_kernel("k", FixedCostModel(1.0))
+        gpu.register_kernel("k", FixedCostModel(2.0))
+        got_smp, got_gpu = [], []
+        for _ in range(n):
+            got_smp.append(smp.duration("k", 0, {}))
+            got_gpu.append(gpu.duration("k", 0, {}))
+        assert got_smp == self._scalar_durations(11, 0.1, 1.0, n)
+        assert got_gpu == self._scalar_durations(12, 0.3, 2.0, n)
+
+    def test_standard_normal_blocks_equal_scalar_sequence(self):
+        # the NumPy property the blocks rely on, split unevenly
+        scalar = np.random.default_rng(3)
+        want = [float(scalar.standard_normal()) for _ in range(70)]
+        block = np.random.default_rng(3)
+        got = (block.standard_normal(32).tolist() + block.standard_normal(7).tolist()
+               + block.standard_normal(31).tolist())
+        assert got == want
