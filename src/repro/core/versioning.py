@@ -195,8 +195,19 @@ class VersioningScheduler(Scheduler):
     def bind(self, runtime) -> None:  # type: ignore[override]
         super().bind(runtime)
         self._busy_est = {w.name: 0.0 for w in runtime.workers}
-        # a pooled scheduler rebinds to a fresh runtime, whose live
-        # workers may run versions the last run had lost
+        # a pooled scheduler rebinds to a fresh runtime: a run cut short
+        # (wall deadline) leaves its tasks pooled and estimated, and the
+        # new run's live workers may run versions the last run had lost.
+        # Only the learned profile table carries over, less the last
+        # run's dispatches that will never retire.
+        self._pool.clear()
+        self._pooled.clear()
+        self._prio_in_pool = 0
+        self._est_by_uid.clear()
+        self._stale = False
+        for group in self._groups.values():
+            for profile in group.versions():
+                profile.assigned = 0
         self._left_learning.clear()
         self._runnable.clear()
         runtime.liveness_caches.append(self._runnable)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Collection, Mapping, Optional, Union
+from typing import Any, Collection, Iterable, Mapping, Optional, Union
 
 from repro.memory.cache import CacheManager, CacheStats
 from repro.memory.directory import Directory, TransferRequest
@@ -84,7 +84,6 @@ class RuntimeConfig:
     #: Implies nothing unless ``execute_bodies`` is on and kernels are
     #: real NumPy code.
     record_accesses: bool = False
-    max_events: Optional[int] = None
     #: Global progress watchdog: if no task completes for this many
     #: simulated seconds (``progress_stall_limit`` consecutive times)
     #: while tasks are unfinished, the run fails with a diagnostic dump
@@ -391,15 +390,13 @@ class OmpSsRuntime:
         synchronise tasks without copying device data back to the host.
         """
         graph = self.graph
-        if not self.engine.run_while(
-            lambda: graph.unfinished, guard=self.config.max_events
-        ):
+        if not self.engine.run_while(lambda: graph.unfinished):
             raise RuntimeError(
                 f"deadlock: {self.graph.unfinished} tasks pending but the event "
                 "queue is empty (dependence cycle or dispatch bug)"
             )
         if self.config.flush_on_wait and not noflush:
-            self._flush_to_host()
+            self._write_back(self.directory.flush_requests())
 
     def taskwait_on(self, *data: Any, noflush: bool = False) -> None:
         """``taskwait on(...)`` — block until the given data is produced.
@@ -414,23 +411,15 @@ class OmpSsRuntime:
         regions = [region_of(d) for d in data]
         graph = self.graph
         if not self.engine.run_while(
-            lambda: any(graph.pending_writer(r) is not None for r in regions),
-            guard=self.config.max_events,
+            lambda: any(graph.pending_writer(r) is not None for r in regions)
         ):
             raise RuntimeError(
                 "deadlock in taskwait_on: writers pending but no events queued"
             )
         if self.config.flush_on_wait and not noflush:
-            last = self.engine.now
-            for r in regions:
-                req = self.directory.writeback_request(r)
-                if req is not None:
-                    last = max(last, self.transfer_engine.issue(req))
-                    self.directory.note_writeback_done(r)
-            if last > self.engine.now:
-                self.engine.schedule(last, lambda: None, kind=EventKind.RUNTIME,
-                                     label="flush-on")
-                self.engine.run(until=last)
+            # lazily, so a region named twice is written back once
+            requests = map(self.directory.writeback_request, regions)
+            self._write_back(req for req in requests if req is not None)
 
     def wait_all(self) -> "RunResult":
         """Final barrier: taskwait + flush, then freeze the run."""
@@ -830,13 +819,12 @@ class OmpSsRuntime:
         if loser is not None:
             self._try_start(loser)
 
-    def _flush_to_host(self) -> None:
-        """Copy every dirty region back to the host (taskwait semantics)."""
+    def _write_back(self, requests: Iterable[TransferRequest]) -> None:
+        """Copy dirty regions back to the host (the taskwait flush)."""
         last = self.engine.now
-        for req in self.directory.flush_requests():
-            end = self.transfer_engine.issue(req)
+        for req in requests:
+            last = max(last, self.transfer_engine.issue(req))
             self.directory.note_writeback_done(req.region)
-            last = max(last, end)
         if last > self.engine.now:
             # advance the master's clock to the final write-back; bounded
             # so pending fault-plan events past that time never fire

@@ -54,6 +54,7 @@ branch without parsing prose.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import json
 import logging
@@ -621,30 +622,26 @@ class SchedulerService:
         from repro.runtime.runtime import OmpSsRuntime
 
         entry = self._pool_entry(spec, machine_fp) if spec.share_scheduler else None
-        if entry is not None:
-            with entry.lock:
-                rt = OmpSsRuntime(machine, entry.scheduler, config=spec.build_config())
-                rt.engine.wall_deadline = job.deadline_at
-                with rt:
-                    app.master(rt)
-                result = rt.result()
-                entry.runs += 1
-                if entry.runs > 1:
-                    with self._stats_lock:
-                        self.scheduler_reuses += 1
+        if entry is None:
+            scheduler, options = spec.scheduler, dict(spec.scheduler_options)
+            lock: Any = contextlib.nullcontext()
         else:
+            scheduler, options, lock = entry.scheduler, None, entry.lock
+        with lock:
             rt = OmpSsRuntime(
-                machine,
-                spec.scheduler,
-                config=spec.build_config(),
-                scheduler_options=dict(spec.scheduler_options),
+                machine, scheduler, config=spec.build_config(), scheduler_options=options
             )
             rt.engine.wall_deadline = job.deadline_at
             with rt:
                 app.master(rt)
             result = rt.result()
+            reused = False
+            if entry is not None:
+                entry.runs += 1
+                reused = entry.runs > 1
         with self._stats_lock:
             self.cold_runs += 1
+            self.scheduler_reuses += reused
 
         if self.config.validate_results:
             from repro.sanitizer.diagnostics import Severity

@@ -61,7 +61,6 @@ _CONFIG_FIELDS = {
     "flush_on_wait",
     "execute_bodies",
     "alias_policy",
-    "max_events",
     "progress_horizon",
     "progress_stall_limit",
 }

@@ -18,12 +18,12 @@ The event store is an :class:`EventHeap`: a binary heap over an index of
 round-trips — next to free-listed parallel slot arrays holding the event
 payloads.  Cancelled events are skipped lazily at pop time and their
 slots recycled.  :meth:`SimEngine.run` and :meth:`SimEngine.run_while`
-drain events in a single flattened loop (one Python frame for the whole
-run instead of one :meth:`step` frame per event); the cooperative
-wall-clock deadline is sampled at exactly the same event ordinals as the
-one-event-per-call :meth:`step` path, so both modes raise
-:class:`WallDeadlineExceededError` at identical points.  The golden-trace
-suite (``tests/sim/test_trace_golden.py``) pins the traces this core
+drain events through one private loop, the only place that pops an
+event, moves the cursor and samples the cooperative wall-clock deadline
+(every :data:`WALL_DEADLINE_CHECK_EVERY`-th processed event), so every
+way of driving the engine raises :class:`WallDeadlineExceededError` at
+the same event ordinal.  The golden-trace suite
+(``tests/sim/test_trace_golden.py``) pins the traces this core
 produces byte for byte.
 
 Occurrences without events
@@ -52,12 +52,12 @@ from typing import Callable, Optional
 class WallDeadlineExceededError(RuntimeError):
     """The engine's cooperative wall-clock deadline passed mid-run.
 
-    Raised from :meth:`SimEngine.step` when :attr:`SimEngine.wall_deadline`
-    is set and the host clock (``time.perf_counter``) moves past it.  The
-    check is cooperative — sampled every
-    :data:`WALL_DEADLINE_CHECK_EVERY` events, so a run overshoots its
-    deadline by at most one check window — and costs one attribute test
-    per event when no deadline is armed.
+    Raised from :meth:`SimEngine.run` and :meth:`SimEngine.run_while`
+    when :attr:`SimEngine.wall_deadline` is set and the host clock
+    (``time.perf_counter``) moves past it.  The check is cooperative —
+    sampled every :data:`WALL_DEADLINE_CHECK_EVERY` events, so a run
+    overshoots its deadline by at most one check window — and costs one
+    attribute test per event when no deadline is armed.
     """
 
     def __init__(self, deadline: float, now: float, events: int) -> None:
@@ -93,10 +93,9 @@ class EventKind(Enum):
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)`` where ``seq`` is the insertion
+    Events run in ``(time, seq)`` order where ``seq`` is the insertion
     order; this makes the event queue fully deterministic.  The heap
-    never compares events directly (its index keys carry the ordering),
-    but ``__lt__`` is kept for callers that sort events themselves.
+    never compares events directly: its index keys carry the ordering.
     """
 
     __slots__ = ("time", "seq", "kind", "callback", "label", "cancelled",
@@ -126,9 +125,6 @@ class Event:
         heap = self._heap
         if heap is not None:
             heap.cancel_handle(self._handle)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -260,9 +256,9 @@ class SimEngine:
         eng.run()
         assert eng.now == 1.5
 
-    The engine may be driven either to completion (:meth:`run`), event
-    by event (:meth:`step`), or while a condition holds
-    (:meth:`run_while`), and supports bounded runs (``until=``).
+    The engine may be driven either to completion (:meth:`run`) or
+    while a condition holds (:meth:`run_while`), and supports bounded
+    runs (``until=``).
     """
 
     def __init__(self) -> None:
@@ -406,85 +402,56 @@ class SimEngine:
                 self.wall_deadline, now, self._events_processed  # type: ignore[arg-type]
             )
 
-    def step(self) -> bool:
-        """Execute the next non-cancelled event.
+    def _drain(
+        self, cond: Optional[Callable[[], object]], until: Optional[float]
+    ) -> bool:
+        """Run events in order while ``cond()`` is truthy (``None``: always)
+        and the next event fires no later than ``until`` (``None``: no
+        bound).
 
-        Returns ``True`` if an event was executed, ``False`` if the queue
-        is exhausted.
+        The one loop that pops events: it samples the wall-clock deadline
+        before every :data:`WALL_DEADLINE_CHECK_EVERY`-th processed event.
+        Returns ``True`` when ``cond()`` went falsy, ``False`` when the
+        queue ran out or its next event lies past ``until``.
         """
-        if (
-            self.wall_deadline is not None
-            and self._events_processed % WALL_DEADLINE_CHECK_EVERY == 0
-        ):
-            self._check_wall_deadline()
-        ev = self._heap.pop()
-        if ev is None:
-            self._drained()
-            return False
-        if ev.time < self._now:  # pragma: no cover - defensive
-            raise RuntimeError("event queue yielded an event in the past")
-        self._now = ev.time
-        self._last_seq = ev.seq
-        self._events_processed += 1
-        ev.callback()
+        heap = self._heap
+        while cond is None or cond():
+            if until is not None:
+                tnext = heap.peek_time()
+                if tnext is None or tnext > until:
+                    return False
+            if (
+                self.wall_deadline is not None
+                and self._events_processed % WALL_DEADLINE_CHECK_EVERY == 0
+            ):
+                self._check_wall_deadline()
+            ev = heap.pop()
+            if ev is None:
+                return False
+            self._now = ev.time
+            self._last_seq = ev.seq
+            self._events_processed += 1
+            ev.callback()
         return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[float] = None) -> int:
         """Run events in order until the queue drains.
 
-        Parameters
-        ----------
-        until:
-            If given, stop once the next event would fire strictly after
-            ``until``.  A bounded run always lands the clock exactly on
-            ``until`` (unless it is already past it), even when the
-            queue is empty or drains early.  Without ``until``, a run
-            that drains the queue leaves the clock at the latest
-            reserved occurrence if that is later than the last event.
-        max_events:
-            Safety valve; execute at most this many events, raising
-            :class:`RuntimeError` if another would follow (catches
-            accidental infinite loops).
+        If ``until`` is given, stop once the next event would fire
+        strictly after ``until``.  A bounded run always lands the clock
+        exactly on ``until`` (unless it is already past it), even when
+        the queue is empty or drains early.  Without ``until``, a run
+        that drains the queue leaves the clock at the latest reserved
+        occurrence if that is later than the last event.
 
         Returns the number of events executed by this call.
-
-        The drain is batched: one Python loop processes every event
-        without a :meth:`step` call per event.  The wall-clock deadline
-        is still sampled once per drained event at the exact ordinals
-        the stepped path uses (every
-        :data:`WALL_DEADLINE_CHECK_EVERY`-th processed event), never
-        once per batch.
         """
         if self._running:
             raise RuntimeError("SimEngine.run() is not reentrant")
         self._running = True
-        heap = self._heap
-        executed = 0
+        start = self._events_processed
         try:
-            while True:
-                tnext = heap.peek_time()
-                if tnext is None:
-                    break
-                if until is not None and tnext > until:
-                    break
-                if max_events is not None and executed >= max_events:
-                    raise RuntimeError(
-                        f"SimEngine exceeded max_events={max_events}; "
-                        "likely an event loop that never terminates"
-                    )
-                if (
-                    self.wall_deadline is not None
-                    and self._events_processed % WALL_DEADLINE_CHECK_EVERY == 0
-                ):
-                    self._check_wall_deadline()
-                ev = heap.pop()
-                if ev is None:  # pragma: no cover - peek_time guarantees one
-                    break
-                self._now = ev.time
-                self._last_seq = ev.seq
-                self._events_processed += 1
-                ev.callback()
-                executed += 1
+            self._drain(None, until)
             if until is None:
                 self._drained()
             elif until >= self._now:
@@ -492,49 +459,24 @@ class SimEngine:
                 self._last_seq = self._seq - 1
         finally:
             self._running = False
-        return executed
+        return self._events_processed - start
 
-    def run_while(
-        self,
-        cond: Callable[[], object],
-        *,
-        guard: Optional[int] = None,
-    ) -> bool:
-        """Drain events in one batched loop while ``cond()`` is truthy.
+    def run_while(self, cond: Callable[[], object]) -> bool:
+        """Run events in order while ``cond()`` is truthy.
 
-        The runtime's ``taskwait`` loops use this instead of calling
-        :meth:`step` once per event: ``cond`` is re-evaluated between
-        events (so a callback that satisfies the wait stops the drain
-        immediately), and the wall-clock deadline is sampled per drained
-        event at the same ordinals as :meth:`step`.
+        The runtime's ``taskwait`` loops use this: ``cond`` is
+        re-evaluated between events, so a callback that satisfies the
+        wait stops the drain immediately.
 
         Returns ``True`` when ``cond()`` went falsy, ``False`` when the
         queue drained first (the caller's deadlock case).  ``cond`` is
         evaluated between events only, so it must not wait on a reserved
-        occurrence (:meth:`reserve_seq`).  ``guard``
-        reproduces the runtime's ``max_events`` safety valve: once the
-        total processed-event count exceeds it, :class:`RuntimeError` is
-        raised exactly as the stepped loop did.
+        occurrence (:meth:`reserve_seq`).
         """
-        heap = self._heap
-        deadline_every = WALL_DEADLINE_CHECK_EVERY
-        while cond():
-            if (
-                self.wall_deadline is not None
-                and self._events_processed % deadline_every == 0
-            ):
-                self._check_wall_deadline()
-            ev = heap.pop()
-            if ev is None:
-                self._drained()
-                return False
-            self._now = ev.time
-            self._last_seq = ev.seq
-            self._events_processed += 1
-            ev.callback()
-            if guard is not None and self._events_processed > guard:
-                raise RuntimeError(f"exceeded max_events={guard}")
-        return True
+        if self._drain(cond, None):
+            return True
+        self._drained()
+        return False
 
     # ------------------------------------------------------------------
     # Introspection / reset

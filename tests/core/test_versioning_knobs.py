@@ -289,3 +289,43 @@ class TestLeftLearning:
         reg(second)
         res = run_tasks(second, sched, burst(work, 10))
         assert res.version_counts["work_smp"]["work_gpu"] >= sched.lam
+
+    def test_rebinding_after_a_cut_run_starts_clean(self):
+        """A run cut by the wall deadline leaves tasks pooled and
+        estimated; the next run on the same scheduler must not see them,
+        while the learned profile table carries over."""
+        import time
+
+        from repro.apps.matmul import MatmulApp
+        from repro.schedulers.registry import create_scheduler
+        from repro.sim.engine import WallDeadlineExceededError
+
+        sched = create_scheduler("versioning")
+        app = MatmulApp(4, 64, variant="hyb")
+
+        def runtime():
+            machine = minotauro_node(2, 1, seed=0)
+            app.register_cost_models(machine)
+            return OmpSsRuntime(machine, sched)
+
+        cut = runtime()
+        cut.engine.wall_deadline = time.perf_counter() - 1.0
+        with pytest.raises(WallDeadlineExceededError):
+            with cut:
+                app.master(cut)
+        assert cut.engine.events_processed == 0
+        assert sched.pool_size() > 0 and sched._est_by_uid
+
+        rt = runtime()
+        with rt:
+            app.master(rt)
+        res = rt.result()
+        assert res.tasks_completed == 64
+        assert res.validate() == []
+
+        learned = sched.learning_dispatches
+        rt = runtime()
+        with rt:
+            app.master(rt)
+        assert rt.result().tasks_completed == 64
+        assert sched.learning_dispatches == learned

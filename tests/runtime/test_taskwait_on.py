@@ -78,6 +78,32 @@ class TestTaskwaitOn:
             assert rt.directory.dirty_owner(b) == "gpu0"     # untouched
         assert rt.directory.dirty_owner(b) is None           # final flush
 
+    def test_flush_lands_on_the_last_write_back_without_an_event(self):
+        m = make_machine(1, 1, noise=0.0)
+        reg = {}
+
+        @task(outputs=["y"], device="cuda", name="gen", registry=reg)
+        def gen(y):
+            pass
+
+        m.register_kernel_for_kind("cuda", "gen", FixedCostModel(0.001))
+        a, b = region("a", MB), region("b", 2 * MB)
+        rt = OmpSsRuntime(m, "dep")
+        with rt:
+            gen(a)
+            gen(b)
+            rt.taskwait_on(a, b, noflush=True)
+            produced = rt.engine.now
+            events = rt.engine.events_processed
+            rt.taskwait_on(a, b)
+            # gen has no inputs: every copy in the trace is a write-back
+            last = max(r.end for r in rt.trace.by_category("transfer"))
+            assert last > produced
+            assert rt.engine.now == last
+            assert rt.engine.events_processed == events
+            assert rt.directory.dirty_owner(a) is None
+            assert rt.directory.dirty_owner(b) is None
+
     def test_noflush_leaves_data_on_device(self):
         m = make_machine(1, 1, noise=0.0)
         reg = {}

@@ -51,8 +51,9 @@ def test_real_apps_not_serviceable():
 
 
 def test_unknown_config_field_rejected():
-    with pytest.raises(SpecError, match="unknown config field"):
-        SubmissionSpec.from_dict(spec_dict(config={"turbo": True}))
+    for field in ("turbo", "max_events"):
+        with pytest.raises(SpecError, match="unknown config field"):
+            SubmissionSpec.from_dict(spec_dict(config={field: True}))
 
 
 def test_build_app_and_machine():

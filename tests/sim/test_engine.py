@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import (
     WALL_DEADLINE_CHECK_EVERY,
-    Event,
     EventKind,
     SimEngine,
     WallDeadlineExceededError,
@@ -106,16 +105,17 @@ class TestCancellation:
 
 
 class TestRunControl:
-    def test_step_returns_false_when_empty(self):
-        assert SimEngine().step() is False
+    def test_run_while_returns_false_when_empty(self):
+        assert SimEngine().run_while(lambda: True) is False
 
-    def test_step_executes_one_event(self):
+    def test_run_while_stops_once_cond_is_falsy(self):
         eng = SimEngine()
         fired = []
         eng.schedule(1.0, lambda: fired.append(1))
         eng.schedule(2.0, lambda: fired.append(2))
-        assert eng.step() is True
+        assert eng.run_while(lambda: not fired) is True
         assert fired == [1]
+        assert eng.now == 1.0
 
     def test_run_until_stops_before_later_events(self):
         eng = SimEngine()
@@ -133,39 +133,6 @@ class TestRunControl:
         for t in (1.0, 2.0, 3.0):
             eng.schedule(t, lambda: None)
         assert eng.run() == 3
-
-    def test_max_events_guard(self):
-        eng = SimEngine()
-
-        def resubmit():
-            eng.schedule_after(1.0, resubmit)
-
-        eng.schedule(0.0, resubmit)
-        with pytest.raises(RuntimeError, match="max_events"):
-            eng.run(max_events=50)
-
-    def test_max_events_executes_exactly_the_limit(self):
-        # regression: the guard used to fire only after N+1 executions
-        eng = SimEngine()
-        fired = []
-
-        def resubmit():
-            fired.append(eng.now)
-            eng.schedule_after(1.0, resubmit)
-
-        eng.schedule(0.0, resubmit)
-        with pytest.raises(RuntimeError, match="max_events"):
-            eng.run(max_events=50)
-        assert len(fired) == 50
-
-    def test_max_events_zero_executes_nothing(self):
-        eng = SimEngine()
-        fired = []
-        eng.schedule(1.0, lambda: fired.append(1))
-        with pytest.raises(RuntimeError, match="max_events"):
-            eng.run(max_events=0)
-        assert fired == []
-        assert eng.now == 0.0
 
     def test_run_until_advances_clock_on_empty_queue(self):
         # regression: an empty queue used to leave ``now`` behind
@@ -215,11 +182,15 @@ class TestRunControl:
 
 class TestEventObject:
     def test_event_ordering(self):
-        a = Event(1.0, 0, EventKind.GENERIC, lambda: None)
-        b = Event(1.0, 1, EventKind.GENERIC, lambda: None)
-        c = Event(0.5, 2, EventKind.GENERIC, lambda: None)
-        assert a < b
-        assert c < a
+        eng = SimEngine()
+        fired = []
+        a = eng.schedule(1.0, lambda: fired.append("a"))
+        b = eng.schedule(1.0, lambda: fired.append("b"))
+        c = eng.schedule(0.5, lambda: fired.append("c"))
+        assert [(e.time, e.seq) for e in (a, b, c)] == [(1.0, 0), (1.0, 1), (0.5, 2)]
+        assert all(e.kind is EventKind.GENERIC for e in (a, b, c))
+        eng.run()
+        assert fired == ["c", "a", "b"]
 
     def test_pending_counts_queue(self):
         eng = SimEngine()
@@ -299,7 +270,7 @@ class _FakeClock:
     Because the engine samples the wall clock only at deadline-check
     ordinals, a fixed per-call step turns "which event ordinal trips the
     deadline" into a pure function of the sampling schedule — exactly
-    the thing the batched/stepped equivalence must pin.
+    the thing the mode equivalence must pin.
     """
 
     def __init__(self, step=1.0):
@@ -312,10 +283,8 @@ class _FakeClock:
 
 
 class TestWallDeadlineModeEquivalence:
-    """Regression: the batched drains must sample the deadline at the
-    exact event ordinals the one-event-per-call step() path uses, so
-    deadline-exceeded fires at the identical processed-event count in
-    all three modes (step / run / run_while)."""
+    """Every way of driving the engine drains through one loop, so the
+    wall-clock deadline trips at the same processed-event ordinal."""
 
     N_EVENTS = WALL_DEADLINE_CHECK_EVERY * 3 + 10
     #: trips on the third sample: checks happen at processed-event
@@ -332,41 +301,27 @@ class TestWallDeadlineModeEquivalence:
             eng.schedule(float(i), lambda: None)
         return eng
 
-    def _trip_ordinal(self, eng, drive):
-        with pytest.raises(WallDeadlineExceededError):
-            drive(eng)
-        return eng.events_processed
-
     def test_all_modes_trip_at_same_event_ordinal(self, monkeypatch):
-        def drive_step(eng):
-            while eng.step():
-                pass
-
-        def drive_run(eng):
-            eng.run()
-
-        def drive_run_while(eng):
-            eng.run_while(lambda: True)
-
-        ordinals = {
-            name: self._trip_ordinal(self._engine(monkeypatch), drive)
-            for name, drive in [
-                ("step", drive_step),
-                ("run", drive_run),
-                ("run_while", drive_run_while),
-            ]
-        }
+        ordinals = {}
+        for name, drive in [
+            ("run", lambda eng: eng.run()),
+            ("run_while", lambda eng: eng.run_while(lambda: True)),
+        ]:
+            eng = self._engine(monkeypatch)
+            with pytest.raises(WallDeadlineExceededError):
+                drive(eng)
+            ordinals[name] = eng.events_processed
         assert len(set(ordinals.values())) == 1, ordinals
         # the trip lands on a sampling ordinal, after at least one window
-        tripped = next(iter(ordinals.values()))
+        tripped = ordinals["run"]
         assert tripped % WALL_DEADLINE_CHECK_EVERY == 0
         assert 0 < tripped < self.N_EVENTS
 
     def test_mixed_mode_agrees_with_pure_modes(self, monkeypatch):
-        """Stepping partway then batch-draining must not shift the ordinal."""
+        """Draining partway with run_while then with run must not shift the ordinal."""
         eng = self._engine(monkeypatch)
-        for _ in range(WALL_DEADLINE_CHECK_EVERY // 2):
-            eng.step()
+        eng.run_while(lambda: eng.events_processed < WALL_DEADLINE_CHECK_EVERY // 2)
+        assert eng.events_processed == WALL_DEADLINE_CHECK_EVERY // 2
         with pytest.raises(WallDeadlineExceededError):
             eng.run()
         mixed = eng.events_processed
@@ -437,12 +392,11 @@ class TestReservedOccurrences:
         assert eng.now == 3.0
         assert eng.passed(3.0, seq)
 
-    def test_drained_run_while_and_step_pass_every_occurrence(self):
-        for drain in (lambda e: e.run_while(lambda: True), lambda e: e.step()):
-            eng = SimEngine()
-            seq = eng.reserve_seq(2.0)
-            assert drain(eng) is False
-            assert (eng.now, eng.passed(2.0, seq)) == (2.0, True)
+    def test_drained_run_while_passes_every_occurrence(self):
+        eng = SimEngine()
+        seq = eng.reserve_seq(2.0)
+        assert eng.run_while(lambda: True) is False
+        assert (eng.now, eng.passed(2.0, seq)) == (2.0, True)
 
     def test_reset_forgets_the_cursor(self):
         eng = SimEngine()
